@@ -28,8 +28,7 @@ from .fields import (
 )
 from .kernels import (
     KernelParams,
-    potential_free_grid,
-    potential_image_grid,
+    potential_halfplane_grid,
     velocity_halfplane,
     velocity_pair_grid,
 )
@@ -96,17 +95,9 @@ def support_touches_wall(field: Field2D) -> bool:
     return bool(near and np.any(field.values[:, 0] != 0.0))
 
 
-def velocity_pair(field: Field2D, params: KernelParams):
-    """(u1, u2) at cell centers from the odd-in-x1 extension of the field.
-
-    The wall x1 = 0 is an exact streamline: see wall_normal_velocity, which
-    evaluates u1 there by paired direct summation (exactly zero in floating
-    point)."""
-    return velocity_pair_grid(field, params)
-
-
 def wall_normal_velocity(field: Field2D, params: KernelParams, n_points=None):
-    """u1 sampled on the wall x1 = 0 via the direct image-paired sum."""
+    """u1 sampled on the wall x1 = 0 via the direct image-paired sum (the
+    wall is an exact streamline: this is zero in floating point)."""
     g = field.grid
     if n_points is None:
         n_points = g.ny
@@ -125,22 +116,22 @@ def _frac_index(grid, x, y):
     return fx, fy
 
 
-def _bilinear_stencil(shape, fx, fy):
-    """Flat corner index, weights and inside mask of the bilinear stencils
-    at fractional indices; one stencil serves every array sampled there."""
+def _bilinear_stencil(shape, fx, fy, ring=0):
+    """Flat corner index and weights of the bilinear stencils at fractional
+    indices into an array of `shape`, sampled from its copy padded by `ring`
+    cells on every side; one stencil serves every array sampled there.
+    Points beyond the padded array clamp to its edge value."""
     ny, nx = shape
-    # points within half a cell of the outermost centers clamp to the edge
-    inside = (fx >= -0.5) & (fx <= nx - 0.5) & (fy >= -0.5) & (fy <= ny - 0.5)
-    fxc = np.clip(fx, 0.0, nx - 1.0)
-    fyc = np.clip(fy, 0.0, ny - 1.0)
-    i0 = np.minimum(np.floor(fxc).astype(int), nx - 2)
-    j0 = np.minimum(np.floor(fyc).astype(int), ny - 2)
-    return j0 * nx + i0, fxc - i0, fyc - j0, inside
+    fxc = np.clip(fx, -ring, nx - 1.0 + ring)
+    fyc = np.clip(fy, -ring, ny - 1.0 + ring)
+    i0 = np.minimum(np.floor(fxc).astype(int), nx - 2 + ring)
+    j0 = np.minimum(np.floor(fyc).astype(int), ny - 2 + ring)
+    return (j0 + ring) * (nx + 2 * ring) + i0 + ring, fxc - i0, fyc - j0
 
 
 def _sample_bilinear(arr, stencil, bounds=False):
     """Bilinear values on a stencil, plus the stencil range when bounds."""
-    k, tx, ty, _ = stencil
+    k, tx, ty = stencil
     nx = arr.shape[1]
     flat = arr.ravel()
     v00 = np.take(flat, k)
@@ -189,18 +180,19 @@ def _sample_bicubic(arr, fx, fy):
 
 
 def interpolate_at(field: Field2D, x, y, method="bicubic"):
-    """Interpolate the cell-averaged field at points; outside the grid -> 0.
+    """Interpolate the cell-averaged field at points.  The field is sampled
+    from its copy padded with one ring of zeros, so values fade linearly from
+    the outermost cell centers to 0 half a cell beyond the window edge.
     Bicubic values are clamped to the surrounding bilinear stencil range
     (monotone: no new extrema, sign preserved)."""
     fx, fy = _frac_index(field.grid, x, y)
-    stencil = _bilinear_stencil(field.values.shape, fx, fy)
-    lin, lo, hi = _sample_bilinear(field.values, stencil, bounds=True)
-    inside = stencil[3]
+    stencil = _bilinear_stencil(field.values.shape, fx, fy, ring=1)
+    lin, lo, hi = _sample_bilinear(np.pad(field.values, 1), stencil,
+                                   bounds=True)
     if method == "bilinear":
-        return np.where(inside, lin, 0.0)
+        return lin
     cub, usable = _sample_bicubic(field.values, fx, fy)
-    out = np.where(usable, np.clip(cub, lo, hi), lin)
-    return np.where(inside, out, 0.0)
+    return np.where(usable, np.clip(cub, lo, hi), lin)
 
 
 def _swept_out(lines, depth):
@@ -254,8 +246,10 @@ def advect_step(field: Field2D, u1, u2, dt, config: EvolutionConfig):
     mass restored up to the outflow.
 
     All positions are handled in fractional-index space so a zero velocity
-    reproduces the field bitwise.  Departure points that leave the grid bring
-    in zero (no inflow).  The clamped samples alone do not conserve mass:
+    reproduces the field bitwise.  The scalar is sampled from its copy padded
+    with one ring of zeros (the velocity is clamped to its edge values), so
+    departure points beyond the outermost cell centers bring in zero: no
+    inflow.  The clamped samples alone do not conserve mass:
     the clamp clips smooth extrema and the backward map is not exactly
     area-preserving.  So the samples are then moved inside their own
     bilinear stencil ranges until the mass equals the old mass minus the
@@ -270,19 +264,16 @@ def advect_step(field: Field2D, u1, u2, dt, config: EvolutionConfig):
                             JJ - 0.5 * dt * u2 / g.h2)
     fxd = II - dt * _sample_bilinear(u1, mid) / g.h1
     fyd = JJ - dt * _sample_bilinear(u2, mid) / g.h2
-    dep = _bilinear_stencil(field.values.shape, fxd, fyd)
-    lin, lo, hi = _sample_bilinear(field.values, dep, bounds=True)
-    inside = dep[3]
+    dep = _bilinear_stencil(field.values.shape, fxd, fyd, ring=1)
+    lin, lo, hi = _sample_bilinear(np.pad(field.values, 1), dep, bounds=True)
     if config.interp == "bilinear":
-        new_vals = np.where(inside, lin, 0.0)
+        new_vals = lin
     else:
         cub, usable = _sample_bicubic(field.values, fxd, fyd)
-        new_vals = np.where(inside, np.where(usable, np.clip(cub, lo, hi), lin),
-                            0.0)
+        new_vals = np.where(usable, np.clip(cub, lo, hi), lin)
     target = (float(np.sum(field.values))
               - window_outflow(field, u1, u2, dt) / g.cell_area)
-    new_vals = _restore_sum(new_vals, np.where(inside, lo, 0.0),
-                            np.where(inside, hi, 0.0), target)
+    new_vals = _restore_sum(new_vals, lo, hi, target)
     new_field = Field2D(g, new_vals, nonneg=field.nonneg)
     lost = mass(field) - mass(new_field)
     return new_field, lost
@@ -332,7 +323,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     rep = TrajectoryReport()
     h = min(field.grid.h1, field.grid.h2)
 
-    u1, u2 = velocity_pair(field, params)
+    u1, u2 = velocity_pair_grid(field, params)
     umax = float(np.max(np.hypot(u1, u2)))
     dt = config.dt
     if dt is None:
@@ -343,7 +334,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     step = 0
 
     def diagnose():
-        psi = potential_free_grid(field, params) - potential_image_grid(field, params)
+        psi = potential_halfplane_grid(field, params)
         a = field.grid.cell_area
         energy = 0.5 * float(np.sum(field.values * psi)) * a
         try:
@@ -375,7 +366,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     n_steps = int(round(config.T / dt))
     while step < n_steps:
         if step > 0:
-            u1, u2 = velocity_pair(field, params)
+            u1, u2 = velocity_pair_grid(field, params)
         umax = float(np.max(np.hypot(u1, u2)))
         while dt * umax / h > 0.5:
             if halvings >= config.max_dt_halvings:

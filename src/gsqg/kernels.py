@@ -318,6 +318,7 @@ def potential_image_grid(field: Field2D, params: KernelParams) -> np.ndarray:
 
 
 def potential_halfplane_grid(field: Field2D, params: KernelParams) -> np.ndarray:
+    """Half-plane potential (free minus image) at cell centers."""
     return potential_free_grid(field, params) - potential_image_grid(field, params)
 
 
@@ -341,16 +342,3 @@ def velocity_pair_grid(field: Field2D, params: KernelParams):
     u2 = tf["vel"][1].apply(m) - tf["vel_img"][1].apply(m_fl)
     return u1, u2
 
-
-def interaction_energy_free(f1: Field2D, f2: Field2D, params: KernelParams) -> float:
-    """int f1 * (G * f2) with both fields on the same grid."""
-    if f1.grid != f2.grid:
-        raise DomainError("interaction energy needs a common grid")
-    psi = potential_free_grid(f2, params)
-    return float(np.sum(f1.values * psi) * f1.grid.cell_area)
-
-
-def interaction_energy_halfplane(f: Field2D, params: KernelParams) -> float:
-    """int f * (G+ f) over the half plane."""
-    psi = potential_halfplane_grid(f, params)
-    return float(np.sum(f.values * psi) * f.grid.cell_area)

@@ -133,6 +133,28 @@ def solve_multiplier(psi_eff, measures, profile, kappa,
 
 
 # ---------------------------------------------------------------------------
+# energy-monitored damped step (shared with the pair solver)
+
+
+def monitored_step(trial_at, evaluate, energy, theta, damping):
+    """One energy-monitored damped ascent step.
+
+    Tries x = trial_at(theta) and halves theta, up to 7 times, until the
+    energy evaluate(x)[0] does not fall below `energy` by more than 1e-8
+    relative; an accepted step regrows theta by 1.3 up to `damping`.  When
+    every trial descends, the smallest step (theta / 128) is taken anyway.
+    Returns (x, evaluate(x), theta, accepted)."""
+    for _ in range(7):
+        x = trial_at(theta)
+        ev = evaluate(x)
+        if ev[0] >= energy - 1e-8 * max(abs(energy), 1e-30):
+            return x, ev, min(damping, theta * 1.3), True
+        theta *= 0.5
+    x = trial_at(theta)
+    return x, evaluate(x), theta, False
+
+
+# ---------------------------------------------------------------------------
 # energies
 
 
@@ -307,9 +329,12 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
         m = float(np.sum(meas * omega))
     omega *= kappa / m
 
+    def evaluate(x):
+        psi_x = M @ x
+        return _radial_energy(x, psi_x, meas, profile)[0], psi_x
+
     theta = damping
-    psi = M @ omega
-    energy, _, _ = _radial_energy(omega, psi, meas, profile)
+    energy, psi = evaluate(omega)
     mu = 0.0
     residual = math.inf
     it = 0
@@ -319,28 +344,14 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
         residual = float(np.sum(meas * np.abs(f_omega - omega))) / kappa
         if residual <= tol:
             break
-        stepped = False
-        for _ in range(7):
-            trial = (1.0 - theta) * omega + theta * f_omega
-            psi_t = M @ trial
-            e_t, _, _ = _radial_energy(trial, psi_t, meas, profile)
-            if e_t >= energy - 1e-8 * abs(energy):
-                omega, psi, energy = trial, psi_t, e_t
-                theta = min(damping, theta * 1.3)
-                stepped = True
-                break
-            theta *= 0.5
-        if not stepped:
-            bad_streak += 1
-            omega = (1.0 - theta) * omega + theta * f_omega
-            psi = M @ omega
-            energy, _, _ = _radial_energy(omega, psi, meas, profile)
-            if bad_streak >= 8:
-                raise ConvergenceError(
-                    "sustained energy descent in the damped iteration",
-                    residual=residual, iterations=it)
-        else:
-            bad_streak = 0
+        omega, (energy, psi), theta, stepped = monitored_step(
+            lambda t: (1.0 - t) * omega + t * f_omega, evaluate, energy,
+            theta, damping)
+        bad_streak = 0 if stepped else bad_streak + 1
+        if bad_streak >= 8:
+            raise ConvergenceError(
+                "sustained energy descent in the damped iteration",
+                residual=residual, iterations=it)
     else:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (residual {residual:.3g})",
@@ -383,6 +394,9 @@ def virial_residual(sol: LimitingSolution) -> float:
 
 
 def _multiplier_residuals(sol: LimitingSolution) -> dict:
+    """Relative mismatches of the two multiplier representations
+    (kappa mu = A - gamma B and kappa mu = A_gamma E0) against the solver's
+    mu and against each other."""
     gamma = sol.profile.gamma
     consts = compute_struct_constants(sol.s, sol.p, L=sol.L, kappa=sol.kappa)
     mu_from_integrals = (sol.kinetic - gamma * sol.j_integral) / sol.kappa
@@ -393,13 +407,6 @@ def _multiplier_residuals(sol: LimitingSolution) -> dict:
         "multiplier_vs_energy": abs(sol.mu0 - mu_from_energy) / scale,
         "multiplier_mutual": abs(mu_from_integrals - mu_from_energy) / scale,
     }
-
-
-def multiplier_residual(sol: LimitingSolution) -> dict:
-    """Relative mismatches of the two multiplier representations
-    (kappa mu = A - gamma B and kappa mu = A_gamma E0) against the solver's
-    mu and against each other."""
-    return _multiplier_residuals(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,13 @@ from .fields import (
 from .kernels import (
     KernelParams,
     potential_free_grid,
+    potential_halfplane_grid,
     potential_image_grid,
     _image_tableau,
 )
 from .limiting import (
     LimitingSolution,
+    monitored_step,
     radial_to_field,
     solve_limiting,
     solve_multiplier,
@@ -169,8 +171,7 @@ def ball_mask(grid: Grid2D, problem: PairProblem):
 
 def energy_E_eps(field: Field2D, problem: PairProblem) -> float:
     """E = (1/2) int w G+ w - speed * int x1 w - int J(w)."""
-    params = problem.params
-    psi = potential_free_grid(field, params) - potential_image_grid(field, params)
+    psi = potential_halfplane_grid(field, problem.params)
     a = field.grid.cell_area
     kin = 0.5 * float(np.sum(field.values * psi)) * a
     return kin - problem.speed * impulse(field) - float(
@@ -199,8 +200,6 @@ def _location_sides(field: Field2D, problem: PairProblem):
     a = g.cell_area
     double_sum = float(np.sum(field.values * (x1 * phi + phi_w))) * a
     return 2.0 * (1.0 - problem.s) * double_sum, problem.speed * problem.kappa
-
-
 
 
 def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
@@ -234,7 +233,6 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     mask = ball_mask(grid, problem)
     a = grid.cell_area
     x1row = grid.x1_centers()
-    X1 = np.broadcast_to(x1row[None, :], (grid.ny, grid.nx))
 
     if init_field is None:
         init = radial_to_field(limiting.omega0, grid, center=problem.ball_center)
@@ -249,13 +247,8 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         m0 = float(np.sum(vals)) * a
     vals = vals * (problem.kappa / m0)
 
-    speed = problem.speed
     theta = damping
     residual = math.inf
-    mu = 0.0
-    psi_free = potential_free_grid(Field2D(grid, vals), params)
-    psi_img = potential_image_grid(Field2D(grid, vals), params)
-    energy, *_ = _energy_parts(vals, psi_free, psi_img, x1row, a, problem)
     mflat = mask.ravel()
     meas_sub = np.full(int(mflat.sum()), a)
     it = 0
@@ -275,8 +268,16 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
             raise ConvergenceError("iterate collapsed to zero mass")
         return w * (problem.kappa / m)
 
+    def evaluate(w):
+        """Energy and half-plane potential of an iterate."""
+        f = Field2D(grid, w)
+        pf = potential_free_grid(f, params)
+        pi = potential_image_grid(f, params)
+        return _energy_parts(w, pf, pi, x1row, a, problem)[0], pf - pi
+
+    energy, psi = evaluate(vals)
     for it in range(1, max_iter + 1):
-        psi_eff = (psi_free - psi_img - speed * X1).ravel()[mflat]
+        psi_eff = (psi - problem.speed * x1row[None, :]).ravel()[mflat]
         mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa)
         f_new = np.zeros(grid.ny * grid.nx)
         f_new[mflat] = f_sub
@@ -315,40 +316,21 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
                 gam *= 50.0 / nrm
             cand = vals.ravel() + g.ravel() - (np.column_stack(dX) + GM) @ gam
             cand = _project(cand.reshape(grid.ny, grid.nx))
-            pf = potential_free_grid(Field2D(grid, cand), params)
-            pi = potential_image_grid(Field2D(grid, cand), params)
-            e_t, *_ = _energy_parts(cand, pf, pi, x1row, a, problem)
+            e_t, psi_t = evaluate(cand)
             if e_t >= energy - 1e-6 * max(abs(energy), 1e-30):
-                vals, psi_free, psi_img, energy = cand, pf, pi, e_t
+                vals, psi, energy = cand, psi_t, e_t
                 accepted = True
         if not accepted:
             # damped fallback with energy-ascent monitor
             dX.clear()
             dG.clear()
-            stepped = False
-            for _ in range(7):
-                trial = _project(vals + theta * g)
-                pf = potential_free_grid(Field2D(grid, trial), params)
-                pi = potential_image_grid(Field2D(grid, trial), params)
-                e_t, *_ = _energy_parts(trial, pf, pi, x1row, a, problem)
-                if e_t >= energy - 1e-8 * max(abs(energy), 1e-30):
-                    vals, psi_free, psi_img, energy = trial, pf, pi, e_t
-                    theta = min(damping, theta * 1.3)
-                    stepped = True
-                    break
-                theta *= 0.5
-            if not stepped:
-                bad_streak += 1
-                vals = _project(vals + theta * g)
-                psi_free = potential_free_grid(Field2D(grid, vals), params)
-                psi_img = potential_image_grid(Field2D(grid, vals), params)
-                energy, *_ = _energy_parts(vals, psi_free, psi_img, x1row,
-                                           a, problem)
-                if bad_streak >= 8:
-                    raise ConvergenceError("sustained energy descent",
-                                           residual=residual, iterations=it)
-            else:
-                bad_streak = 0
+            vals, (energy, psi), theta, stepped = monitored_step(
+                lambda t: _project(vals + t * g), evaluate, energy, theta,
+                damping)
+            bad_streak = 0 if stepped else bad_streak + 1
+            if bad_streak >= 8:
+                raise ConvergenceError("sustained energy descent",
+                                       residual=residual, iterations=it)
     else:
         raise ConvergenceError(
             f"pair solve: no convergence in {max_iter} iterations "
@@ -356,57 +338,22 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
 
     # final symmetrization pass (a no-op for the converged iterate), then
     # recompute the consistent state and certify the residual on it
-    field = steiner_symmetrize_x2(Field2D(grid, vals, nonneg=True))
-    psi_free = potential_free_grid(field, params)
-    psi_img = potential_image_grid(field, params)
-    psi_eff = (psi_free - psi_img - speed * X1).ravel()[mflat]
-    mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa)
-    f_fin = np.zeros(grid.ny * grid.nx)
-    f_fin[mflat] = f_sub
-    residual = float(np.sum(np.abs(f_fin.reshape(grid.ny, grid.nx)
-                                   - field.values))) * a / problem.kappa
-    energy, kin_free, cross, imp, jint = _energy_parts(
-        field.values, psi_free, psi_img, x1row, a, problem)
-
-    com1 = float(np.sum(field.values * X1)) * a / problem.kappa
-    X2g = grid.centers()[1]
-    com2 = float(np.sum(field.values * X2g)) * a / problem.kappa
-    vmax = field.values.max()
-    supp = field.values > 1e-12 * vmax
-    cx, cy = problem.ball_center
-    rr = np.hypot(grid.centers()[0] - cx, X2g - cy)
-    r_supp_ball = float(rr[supp].max()) if supp.any() else 0.0
-    clearance = problem.ball_radius - r_supp_ball
-    rr_com = np.hypot(grid.centers()[0] - com1, X2g - com2)
-    support_radius = float(rr_com[supp].max() + 0.5 * grid.h1) if supp.any() else 0.0
-
-    sol = PairSolution(
-        problem=problem, omega=field, psi_free=psi_free, psi_image=psi_img,
-        mu=mu, x_center=(com1, com2), d_eps=problem.eps * com1,
-        E_eps=energy,
-        E0_part=0.5 * kin_free - jint,
-        kinetic_free=kin_free, cross_image=cross, j_integral=jint,
-        impulse=imp, support_radius=support_radius,
-        ball_clearance=clearance, iterations=it, converged=True,
-        warnings=warnings,
-    )
-    sol.residuals = {
-        "fixed_point": residual,
-        "location": location_residual(sol)[2],
-        "multiplier": multiplier_pair_residual(sol)["identity_mu"],
-        "steiner_asymmetry": steiner_asymmetry(sol),
-    }
-    if clearance <= 2.0 * grid.h1 and not allow_active:
+    sol = rebuild_solution(
+        problem, steiner_symmetrize_x2(Field2D(grid, vals, nonneg=True)))
+    sol.iterations = it
+    sol.warnings = warnings
+    if sol.ball_clearance <= 2.0 * grid.h1 and not allow_active:
         raise ConstraintActiveError(
-            f"support reaches within {clearance:.3g} (< 2h = {2 * grid.h1:.3g}) "
-            "of the constraint ball: eps too large for the asymptotic regime",
-            solution=sol)
+            f"support reaches within {sol.ball_clearance:.3g} "
+            f"(< 2h = {2 * grid.h1:.3g}) of the constraint ball: eps too "
+            "large for the asymptotic regime", solution=sol)
     return sol
 
 
 def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
-    """Reconstruct the derived quantities and residual battery from a saved
-    converged field (no iteration; mu comes from one mass bisection)."""
+    """Derived quantities and the residual battery of a converged field: the
+    tail of solve_pair, and the reload of a saved field (no iteration; mu
+    comes from one mass bisection)."""
     params, profile = problem.params, problem.profile
     grid = field.grid
     a = grid.cell_area
@@ -447,6 +394,8 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
         "location": location_residual(sol)[2],
         "multiplier": multiplier_pair_residual(sol)["identity_mu"],
         "steiner_asymmetry": steiner_asymmetry(sol),
+        "weak_form_max": max(weak_form_residual(sol).values()),
+        "s_eps_sup": s_eps_norm(sol)[0],
     }
     return sol
 
@@ -639,8 +588,7 @@ def desingularization_check(solutions) -> dict:
 def rearrangement_energy(field: Field2D, problem: PairProblem) -> float:
     """Kinetic-minus-impulse functional (no J term): the objective of the
     rearrangement-class maximization."""
-    params = problem.params
-    psi = potential_free_grid(field, params) - potential_image_grid(field, params)
+    psi = potential_halfplane_grid(field, problem.params)
     a = field.grid.cell_area
     return 0.5 * float(np.sum(field.values * psi)) * a \
         - problem.speed * impulse(field)
@@ -667,8 +615,7 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
     trace = [rearrangement_energy(zeta, problem)]
     stalled = True
     for _ in range(max_iter):
-        psi = (potential_free_grid(zeta, params)
-               - potential_image_grid(zeta, params)
+        psi = (potential_halfplane_grid(zeta, params)
                - problem.speed * x1row[None, :])
         order = np.argsort(-psi.ravel(), kind="stable")
         new_vals = np.empty(g.ny * g.nx)

@@ -352,18 +352,14 @@ def test_criterion_10_stability_probe(pair_regime):
     turnover periods tau = 2 pi R / max|u(0)|, with R the support radius.
     That is long enough for the scheme's drifts to show against the
     bounds, which stay as they were.  Ordering trials run over T/8."""
-    from gsqg.evolution import (
-        EvolutionConfig,
-        evolve,
-        stability_experiment,
-        velocity_pair,
-    )
+    from gsqg.evolution import EvolutionConfig, evolve, stability_experiment
     from gsqg.fields import lp_norm
+    from gsqg.kernels import velocity_pair_grid
 
     sol = pair_regime[0.1]
     f = sol.omega
     pb = sol.problem
-    u1, u2 = velocity_pair(f, pb.params)
+    u1, u2 = velocity_pair_grid(f, pb.params)
     tau = 2.0 * math.pi * sol.support_radius / float(np.max(np.hypot(u1, u2)))
     T = 5.0 * tau
     cfg = EvolutionConfig(T=T, diag_every=200, check_wall=False)

@@ -138,6 +138,21 @@ class TestVerify:
         csv = (out / "verify.csv").read_text().splitlines()
         assert csv[0] == "eps,identity,value,tolerance,pass"
 
+    def test_values_match_solve_report(self, pair_run, tmp_path):
+        # verify reads the battery the solve wrote: one certification path
+        out = tmp_path / "verify_same"
+        run(["verify", "--run", pair_run, "--out", out,
+             "--tol-fixed-point", "1e-4"])
+        rep = json.loads((pair_run / "pair_eps0p2.json").read_text())
+        values = {}
+        for row in (out / "verify.csv").read_text().splitlines()[1:]:
+            _, identity, value, _, _ = row.split(",")
+            values[identity] = float(value)
+        assert values["location"] == rep["location_identity_residual"]
+        assert values["multiplier"] == rep["multiplier_identity_residual"]
+        assert values["weak_form"] == rep["weak_form_residual_max"]
+        assert values["s_eps_sup"] == rep["S_eps_sup"]
+
     def test_failure_exit_code_names_identity(self, pair_run, tmp_path,
                                               capsys):
         out = tmp_path / "verify_fail"

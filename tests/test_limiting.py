@@ -17,6 +17,7 @@ from gsqg.limiting import (
     _initial_patch,
     energy_E0,
     linearized_apply,
+    monitored_step,
     radial_to_field,
     ring_potential_matrix,
     solve_limiting,
@@ -137,6 +138,29 @@ class TestMultiplierBisection:
         mus = [solve_multiplier(psi, meas, prof, kappa=k)[0]
                for k in (0.5, 1.0, 2.0)]
         assert mus[0] > mus[1] > mus[2]
+
+
+class TestMonitoredStep:
+    def test_accepted_step_regrows_theta(self):
+        # energy -(x - 1)^2 from x = 0 towards 1: the first trial ascends
+        x, (e, _), theta, ok = monitored_step(
+            lambda t: t, lambda x: (-(x - 1.0) ** 2, None), -1.0, 0.25, 0.3)
+        assert ok and x == 0.25 and e == -(0.75 ** 2)
+        assert theta == 0.3
+
+    def test_rejected_path_halves_then_forces_smallest_step(self):
+        thetas = []
+
+        def trial_at(t):
+            thetas.append(t)
+            return t
+
+        x, (e, aux), theta, ok = monitored_step(
+            trial_at, lambda x: (-x, "aux"), 0.0, 0.5, 0.5)
+        assert not ok
+        assert thetas == [0.5 / 2 ** k for k in range(8)]
+        assert theta == x == 0.5 / 128
+        assert (e, aux) == (-0.5 / 128, "aux")
 
 
 class TestSolveLimiting:
