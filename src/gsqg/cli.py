@@ -47,7 +47,9 @@ def _build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--run", help="existing run directory to read")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the FFTs and the BLAS "
+                            "(default 1)")
         if model:
             p.add_argument("--s", type=float)
             p.add_argument("--p", type=float)
@@ -227,7 +229,8 @@ def cmd_solve_pair(cfg):
     lim = solve_limiting(
         cfg["s"], cfg["p"], kappa=cfg["kappa"], L=cfg.get("L"),
         nr=cfg.get("nr", 256), n_angles=cfg.get("n_angles", 64),
-        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000))
+        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
+        damping=cfg.get("damping", 0.5))
     run.write_json("limiting.json", lim.report())
     run.stages["limiting"] = "limiting.json"
     status = EXIT_OK
@@ -478,11 +481,13 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    threads = str(int(cfg.get("threads", 1)))
+    threads = int(cfg.get("threads", 1))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, str(threads))
+    import scipy.fft  # after the variables above, which numpy reads once
     try:
-        return _COMMANDS[args.command](cfg)
+        with scipy.fft.set_workers(threads):
+            return _COMMANDS[args.command](cfg)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

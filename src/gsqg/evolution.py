@@ -157,7 +157,9 @@ def _cr_weights(t):
 
 
 def _sample_bicubic(arr, fx, fy):
-    """Catmull-Rom in each axis on the 4x4 stencil; callers clamp."""
+    """Catmull-Rom in each axis on the 4x4 stencil; callers clamp.
+
+    The 16 gathers and products reuse buffers allocated once per call."""
     ny, nx = arr.shape
     i0 = np.floor(fx).astype(int)
     j0 = np.floor(fy).astype(int)
@@ -170,12 +172,19 @@ def _sample_bicubic(arr, fx, fy):
     wy = _cr_weights(ty)
     flat = arr.ravel()
     corner = (j0c - 1) * nx + (i0c - 1)
-    out = np.zeros_like(tx, dtype=float)
+    val = np.empty_like(tx, dtype=float)
+    row = np.empty_like(val)
+    out = np.zeros_like(val)
     for a in range(4):
-        row = np.zeros_like(tx, dtype=float)
+        row.fill(0.0)
         for b in range(4):
-            row += wx[b] * np.take(flat, corner + (a * nx + b))
-        out += wy[a] * row
+            # flat[off:][corner] = flat[corner + off], always in range, so
+            # "clip" never acts; it only spares take its buffered check
+            np.take(flat[a * nx + b:], corner, out=val, mode="clip")
+            np.multiply(wx[b], val, out=val)
+            np.add(row, val, out=row)
+        np.multiply(wy[a], row, out=row)
+        np.add(out, row, out=out)
     return out, usable
 
 

@@ -238,7 +238,8 @@ class _TableauFFT:
 
     apply(v) returns the linear convolution sum_d T[d] v[x - d] restricted to
     the grid, via circulant embedding of size (2ny, 2nx): displacements
-    -(n-1)..n-1 never alias there."""
+    -(n-1)..n-1 never alias there.  forward and inverse are its two halves,
+    so one source spectrum can feed several tableaus."""
 
     def __init__(self, tab, ny, nx):
         self.ny, self.nx = ny, nx
@@ -251,11 +252,18 @@ class _TableauFFT:
         C[self.py - ny + 1:, self.px - nx + 1:] = tab[:ny - 1, :nx - 1]
         self.hat = rfft2(C)
 
-    def apply(self, v):
+    def forward(self, v):
+        """Spectrum of v zero-padded to the circulant lattice."""
         pad = np.zeros((self.py, self.px))
         pad[:self.ny, :self.nx] = v
-        out = irfft2(rfft2(pad) * self.hat, s=(self.py, self.px))
-        return out[:self.ny, :self.nx]
+        return rfft2(pad)
+
+    def inverse(self, spec):
+        """Grid part of the real field with spectrum spec."""
+        return irfft2(spec, s=(self.py, self.px))[:self.ny, :self.nx]
+
+    def apply(self, v):
+        return self.inverse(self.forward(v) * self.hat)
 
 
 def _grid_transforms(grid, s):
@@ -284,8 +292,18 @@ def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
         rad_img, sx = _image_tableau(grid, params, params.s - 2.0)
         rad_img = rad_img * (2.0 * params.s - 2.0)
         dj = np.arange(-(ny - 1), ny) * grid.h2
-        vel_img = (_TableauFFT(rad_img * dj[:, None], ny, nx),
-                   _TableauFFT(-rad_img * sx[None, :], ny, nx))
+        # The x1-flipped source v[:, ::-1] of a real v with spectrum M has
+        # spectrum phase * conj(M[-k2, k1]); fold the phase into the image
+        # tableaus so the velocity needs no second forward transform.
+        py, px = pot.py, pot.px
+        k1 = np.arange(px // 2 + 1)
+        phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % px) / px)
+        vel_img = {
+            "hat": tuple(_TableauFFT(t, ny, nx).hat * phase
+                         for t in (rad_img * dj[:, None],
+                                   -rad_img * sx[None, :])),
+            "rev": -np.arange(py) % py,
+        }
 
     di = np.arange(-(nx - 1), nx) * grid.h1
     dj = np.arange(-(ny - 1), ny) * grid.h2
@@ -331,14 +349,14 @@ def velocity_free_grid(field: Field2D, params: KernelParams):
 
 def velocity_pair_grid(field: Field2D, params: KernelParams):
     """(u1, u2) at cell centers induced by the odd-in-x1 extension of a
-    half-plane field (field minus its reflection)."""
+    half-plane field (field minus its reflection).  One forward transform of
+    the source feeds both the free and the image terms."""
     g = field.grid
     if g.x1min < -1e-12 * g.h1:
         raise DomainError("pair velocity needs a grid in {x1 >= 0}")
     tf = _grid_transforms(g, params.s)
-    m = field.values * g.cell_area
-    m_fl = field.values[:, ::-1] * g.cell_area
-    u1 = tf["vel"][0].apply(m) - tf["vel_img"][0].apply(m_fl)
-    u2 = tf["vel"][1].apply(m) - tf["vel_img"][1].apply(m_fl)
-    return u1, u2
-
+    free, img = tf["vel"], tf["vel_img"]
+    M = free[0].forward(field.values * g.cell_area)
+    Mr = np.conj(M[img["rev"]])
+    return tuple(free[k].inverse(free[k].hat * M - img["hat"][k] * Mr)
+                 for k in (0, 1))

@@ -79,6 +79,17 @@ class TestSolveLimiting:
 
 
 class TestSolvePair:
+    def test_damping_reaches_limiting_stage(self, tmp_path):
+        flags = ["--s", 0.5, "--p", 1.5, "--kappa", 1, "--L", REGIME_L,
+                 "--damping", 0.2] + FAST
+        assert run(["solve-limiting", "--out", tmp_path / "lim"] + flags) == 0
+        assert run(["solve-pair", "--W", 1, "--eps", "0.2", "--n", "32",
+                    "--out", tmp_path / "pair"] + flags) == 0
+        lim, pair = (json.loads((tmp_path / d / "limiting.json").read_text())
+                     for d in ("lim", "pair"))
+        for key in ("E0", "mu0", "iterations"):
+            assert lim[key] == pair[key]
+
     def test_run_products_and_roundtrip(self, pair_run):
         rep = json.loads((pair_run / "pair_eps0p2.json").read_text())
         assert rep["converged"] is True
@@ -198,6 +209,30 @@ class TestEvolveCmd:
         sup = [r["sup_distance"] for r in rep["experiments"]]
         assert all(v >= 0 for v in sup)
         assert (out / "stability.csv").exists()
+
+    def test_threads_bitwise(self, pair_run, tmp_path, monkeypatch):
+        import scipy.fft
+        import gsqg.kernels
+        workers = set()
+        rfft2 = gsqg.kernels.rfft2
+
+        def spy(*args, **kwargs):
+            workers.add(scipy.fft.get_workers())
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(gsqg.kernels, "rfft2", spy)
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            code = run(["evolve", "--run", pair_run, "--out", out,
+                        "--T", "0.01", "--perturb", "bump:0.05",
+                        "--seed", "3", "--threads", threads])
+            assert code == 0
+            outs.append(out)
+        assert workers == {1, 2}
+        for name in ("evolve.json", "stability.csv"):
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
 
 
 class TestRearrangeCmd:

@@ -81,6 +81,24 @@ class TestVelocity:
 
 
 class TestAdvection:
+    def test_bicubic_matches_reference_loop(self):
+        from gsqg.evolution import _cr_weights, _sample_bicubic
+        rng = np.random.default_rng(4)
+        arr = rng.random((23, 17))
+        fx = rng.uniform(-2.0, 18.0, (23, 17))
+        fy = rng.uniform(-2.0, 24.0, (23, 17))
+        out, _ = _sample_bicubic(arr, fx, fy)
+        i0 = np.clip(np.floor(fx).astype(int), 1, 17 - 3)
+        j0 = np.clip(np.floor(fy).astype(int), 1, 23 - 3)
+        wx, wy = _cr_weights(fx - i0), _cr_weights(fy - j0)
+        ref = np.zeros_like(fx)
+        for a in range(4):
+            row = np.zeros_like(fx)
+            for b in range(4):
+                row += wx[b] * arr[j0 - 1 + a, i0 - 1 + b]
+            ref += wy[a] * row
+        assert np.array_equal(out, ref)
+
     def test_zero_velocity_identity(self):
         f = blob_field(n=64)
         z = np.zeros_like(f.values)

@@ -305,19 +305,32 @@ class TestVelocity:
         scale = np.max(np.hypot(u1, u2))
         assert np.max(np.abs(div)) * g.h1 / scale < 1e-3
 
-    def test_pair_grid_matches_direct(self):
-        rng = np.random.default_rng(10)
-        g = Grid2D(11, 12, 0.4, 1.5, -0.6, 0.6)
-        f = Field2D(g, rng.random((12, 11)))
-        p = params(0.5)
+    @staticmethod
+    def _check_pair_grid(g, s, seed):
+        rng = np.random.default_rng(seed)
+        f = Field2D(g, rng.random((g.ny, g.nx)))
+        p = params(s)
         X1, X2 = g.centers()
         tg = np.column_stack([X1.ravel(), X2.ravel()])
         direct = velocity_halfplane(f, tg, p)
         u1, u2 = velocity_pair_grid(f, p)
-        np.testing.assert_allclose(u1, direct[:, 0].reshape(12, 11),
+        np.testing.assert_allclose(u1, direct[:, 0].reshape(g.ny, g.nx),
                                    rtol=1e-11, atol=1e-14)
-        np.testing.assert_allclose(u2, direct[:, 1].reshape(12, 11),
+        np.testing.assert_allclose(u2, direct[:, 1].reshape(g.ny, g.nx),
                                    rtol=1e-11, atol=1e-14)
+
+    def test_pair_grid_matches_direct(self):
+        self._check_pair_grid(Grid2D(11, 12, 0.4, 1.5, -0.6, 0.6), 0.5, 10)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    @pytest.mark.parametrize("grid", [
+        # odd padded lengths (27 x 35), source touching the wall
+        Grid2D(13, 17, 0.0, 1.3, -0.85, 0.85),
+        # padded 40 x 18, odd ny
+        Grid2D(20, 9, 0.15, 2.15, -0.45, 0.45),
+    ], ids=["13x17", "20x9"])
+    def test_pair_grid_matches_direct_padding(self, grid, s):
+        self._check_pair_grid(grid, s, 12)
 
     def test_wall_normal_velocity_exactly_zero(self):
         rng = np.random.default_rng(11)
