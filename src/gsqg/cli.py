@@ -46,8 +46,10 @@ def _build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--run", help="existing run directory to read")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
+        # no argparse defaults: a flag left out must not override the
+        # config file (_merge fills the defaults in last)
+        p.add_argument("--seed", type=int, help="(default 0)")
+        p.add_argument("--threads", type=int,
                        help="worker threads for the FFTs and the BLAS "
                             "(default 1)")
         if model:
@@ -112,7 +114,8 @@ def _load_config(path):
 
 
 def _merge(args):
-    """Config file values overridden by explicit flags."""
+    """Config file values overridden by explicit flags, then the defaults
+    of the keys every command carries."""
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(_load_config(args.config))
@@ -120,6 +123,8 @@ def _merge(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    cfg.setdefault("seed", 0)
+    cfg.setdefault("threads", 1)
     return cfg
 
 

@@ -342,7 +342,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     t = 0.0
     step = 0
 
-    def diagnose():
+    def diagnose(check_wall=False):
         psi = potential_halfplane_grid(field, params)
         a = field.grid.cell_area
         energy = 0.5 * float(np.sum(field.values * psi)) * a
@@ -363,13 +363,13 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         rep.linf.append(lp_norm(field, math.inf))
         rep.orbital_distance.append(dist)
         rep.shift_c.append(c)
-        if config.check_wall:
+        if check_wall and config.check_wall:
             rep.wall_u1_max.append(float(np.max(np.abs(
                 wall_normal_velocity(field, params, n_points=32)))))
 
     if support_touches_wall(field):
         rep.flags.append("support touches the wall: image terms collide")
-    diagnose()
+    diagnose(check_wall=True)
     if 0 in config.snapshot_steps:
         rep.snapshots[0] = field.copy()
     n_steps = int(round(config.T / dt))
@@ -393,7 +393,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         t += dt
         step += 1
         if step % config.diag_every == 0 or step == n_steps:
-            diagnose()
+            diagnose(check_wall=step == n_steps)
         if step in config.snapshot_steps or (
                 config.snapshot_every and step % config.snapshot_every == 0):
             rep.snapshots[step] = field.copy()

@@ -276,6 +276,20 @@ def _grid_transforms(grid, s):
                                    grid.x1min, s)
 
 
+def _image_transform(grid, s, exponent):
+    """Cached tableau FFT of c_s |x - ybar|^(2*exponent), applied to the
+    x1-flipped source (same cache key as _grid_transforms)."""
+    return _image_transform_cached(grid.nx, grid.ny, grid.h1, grid.h2,
+                                   grid.x1min, s, exponent)
+
+
+@lru_cache(maxsize=16)
+def _image_transform_cached(nx, ny, h1, h2, x1min, s, exponent):
+    grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
+    tab, _ = _image_tableau(grid, KernelParams.from_order(s), exponent)
+    return _TableauFFT(tab, ny, nx)
+
+
 @lru_cache(maxsize=16)
 def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
     grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
@@ -284,24 +298,25 @@ def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
 
     pot = _TableauFFT(_displacement_tableau(grid, params, w_self), ny, nx)
 
-    img_pot = None
-    vel_img = None
+    img = None
     if grid.x1min >= -1e-12 * grid.h1:
-        tab_img, sx = _image_tableau(grid, params, params.s - 1.0)
-        img_pot = _TableauFFT(tab_img, ny, nx)
+        img_pot = _image_transform(grid, s, params.s - 1.0)
         rad_img, sx = _image_tableau(grid, params, params.s - 2.0)
         rad_img = rad_img * (2.0 * params.s - 2.0)
         dj = np.arange(-(ny - 1), ny) * grid.h2
         # The x1-flipped source v[:, ::-1] of a real v with spectrum M has
         # spectrum phase * conj(M[-k2, k1]); fold the phase into the image
-        # tableaus so the velocity needs no second forward transform.
+        # tableaus so the fused potential and the velocity need no second
+        # forward transform.
         py, px = pot.py, pot.px
         k1 = np.arange(px // 2 + 1)
         phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % px) / px)
-        vel_img = {
-            "hat": tuple(_TableauFFT(t, ny, nx).hat * phase
-                         for t in (rad_img * dj[:, None],
-                                   -rad_img * sx[None, :])),
+        img = {
+            "pot": img_pot,
+            "pot_hat": img_pot.hat * phase,
+            "vel_hat": tuple(_TableauFFT(t, ny, nx).hat * phase
+                             for t in (rad_img * dj[:, None],
+                                       -rad_img * sx[None, :])),
             "rev": -np.arange(py) % py,
         }
 
@@ -314,7 +329,7 @@ def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
     rad[ctr] = 0.0
     vel = (_TableauFFT(rad * dj[:, None], ny, nx),
            _TableauFFT(-rad * di[None, :], ny, nx))
-    return {"pot": pot, "img_pot": img_pot, "vel": vel, "vel_img": vel_img}
+    return {"pot": pot, "vel": vel, "img": img}
 
 
 def potential_free_grid(field: Field2D, params: KernelParams) -> np.ndarray:
@@ -332,12 +347,20 @@ def potential_image_grid(field: Field2D, params: KernelParams) -> np.ndarray:
     if g.x1min < -1e-12 * g.h1:
         raise DomainError("image potential needs a grid in {x1 >= 0}")
     tf = _grid_transforms(g, params.s)
-    return tf["img_pot"].apply(field.values[:, ::-1] * g.cell_area)
+    return tf["img"]["pot"].apply(field.values[:, ::-1] * g.cell_area)
 
 
 def potential_halfplane_grid(field: Field2D, params: KernelParams) -> np.ndarray:
-    """Half-plane potential (free minus image) at cell centers."""
-    return potential_free_grid(field, params) - potential_image_grid(field, params)
+    """Half-plane potential (free minus image) at cell centers.  One forward
+    transform of the source feeds both terms, so it equals
+    potential_free_grid - potential_image_grid up to roundoff."""
+    g = field.grid
+    if g.x1min < -1e-12 * g.h1:
+        raise DomainError("half-plane potential needs a grid in {x1 >= 0}")
+    tf = _grid_transforms(g, params.s)
+    pot, img = tf["pot"], tf["img"]
+    M = pot.forward(field.values * g.cell_area)
+    return pot.inverse(pot.hat * M - img["pot_hat"] * np.conj(M[img["rev"]]))
 
 
 def velocity_free_grid(field: Field2D, params: KernelParams):
@@ -355,8 +378,8 @@ def velocity_pair_grid(field: Field2D, params: KernelParams):
     if g.x1min < -1e-12 * g.h1:
         raise DomainError("pair velocity needs a grid in {x1 >= 0}")
     tf = _grid_transforms(g, params.s)
-    free, img = tf["vel"], tf["vel_img"]
+    free, img = tf["vel"], tf["img"]
     M = free[0].forward(field.values * g.cell_area)
     Mr = np.conj(M[img["rev"]])
-    return tuple(free[k].inverse(free[k].hat * M - img["hat"][k] * Mr)
+    return tuple(free[k].inverse(free[k].hat * M - img["vel_hat"][k] * Mr)
                  for k in (0, 1))

@@ -8,9 +8,9 @@ integral along each ray is exact (closed-form primitive of r^(2s-1) between
 the ray/annulus intersection points); this keeps the kernel diagonal accurate
 for every s in (0, 1).
 
-The fixed point iterated is  w  <-  f((psi - mu)_+)  with mu chosen by
-bisection so the mass stays exactly kappa, damped and monitored for energy
-ascent.
+The fixed point iterated is  w  <-  f((psi - mu)_+)  with mu chosen by a
+safeguarded Newton solve, warm-started from the previous iterate's mu, so
+the mass stays exactly kappa, damped and monitored for energy ascent.
 """
 
 import math
@@ -83,53 +83,72 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
 
 
 # ---------------------------------------------------------------------------
-# multiplier bisection (shared with the pair solver)
+# multiplier: safeguarded Newton on the mass (shared with the pair solver)
 
 
-def solve_multiplier(psi_eff, measures, profile, kappa,
+def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None,
                      mass_tol=1e-12, max_iter=220):
     """Find mu with sum measures * (J')^{-1}((psi_eff - mu)_+) = kappa.
 
-    The mass is continuous and strictly decreasing in mu, so bisection on
-    [lo, max psi_eff] has a unique root; lo starts at 0 and is pushed negative
-    if the mass at mu = 0 falls short (transient iterates only; converged
-    multipliers come out positive).
+    The mass m(mu) is continuous and strictly decreasing below max psi_eff,
+    where it vanishes, so the root is unique.  Each evaluation is one
+    (J')^{-1} call on the active cells t = psi_eff - mu > 0 (inactive cells
+    carry zero density); for the power law the same values give
+    m'(mu) = -p sum a (J')^{-1}(t) / t.  The iteration takes the Newton
+    step when it lands inside the bracket [lo, hi] and is at most half the
+    step before last, and bisects otherwise; a general profile always
+    bisects.  It starts from mu0 (the previous multiplier, a warm start)
+    when that lies below max psi_eff, else from 0.  Until some mu gives a
+    mass above kappa, lo is open and mu moves left by the Newton step, at
+    most a span that doubles each time (this also pushes mu negative when
+    needed: transient iterates only, converged multipliers come out
+    positive).  The returned density is rescaled to mass kappa exactly.
     """
+    p = profile.p if getattr(profile, "is_power", False) else None
 
     def mass_at(mu):
-        return float(np.sum(measures * profile.Jprime_inverse(psi_eff - mu)))
+        t = psi_eff - mu
+        active = t > 0.0
+        t = t[active]
+        a = measures[active]
+        w = profile.Jprime_inverse(t)
+        m = float(np.sum(a * w))
+        slope = -p * float(np.sum(a * w / t)) if p is not None else 0.0
+        return m, slope, active, w
 
     hi = float(np.max(psi_eff))
-    lo = 0.0
-    m_lo = mass_at(lo)
+    lo = None
+    nxt = float(mu0) if mu0 is not None and mu0 < hi else 0.0
     span = max(hi, 1.0)
     n_expand = 0
-    while m_lo < kappa:
-        lo -= span
-        span *= 2.0
-        m_lo = mass_at(lo)
-        n_expand += 1
-        if n_expand > 60:
-            raise BracketError(
-                f"multiplier bracket exhausted: mass at mu={lo:.3g} is "
-                f"{m_lo:.3g} < kappa={kappa:.3g}")
-    if mass_at(hi) > kappa:
-        raise BracketError("mass at mu = max(psi) exceeds kappa")
-    mu = 0.5 * (lo + hi)
+    steps = [math.inf, math.inf]  # the last two step lengths
     for _ in range(max_iter):
-        m = mass_at(mu)
+        mu = nxt
+        m, slope, active, w = mass_at(mu)
         if abs(m - kappa) <= mass_tol * kappa:
             break
         if m > kappa:
             lo = mu
         else:
-            hi = mu
-        mu = 0.5 * (lo + hi)
-    omega = profile.Jprime_inverse(psi_eff - mu)
-    m = float(np.sum(measures * omega))
+            hi = min(hi, mu)
+        nxt = mu - (m - kappa) / slope if slope < 0.0 else math.nan
+        if lo is None:
+            if not mu - span < nxt < hi:
+                nxt = mu - span
+            span *= 2.0
+            n_expand += 1
+            if n_expand > 60:
+                raise BracketError(
+                    f"multiplier bracket exhausted: mass at mu={mu:.3g} "
+                    f"is {m:.3g} < kappa={kappa:.3g}")
+        elif not (lo < nxt < hi and abs(nxt - mu) <= 0.5 * steps[0]):
+            nxt = 0.5 * (lo + hi)
+        steps = [steps[1], abs(nxt - mu)]
     if m <= 0:
-        raise BracketError("mass collapsed to zero during bisection")
-    return mu, omega * (kappa / m)
+        raise BracketError("mass collapsed to zero in the multiplier solve")
+    omega = np.zeros(psi_eff.shape)
+    omega[active] = w * (kappa / m)
+    return mu, omega
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +354,12 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
 
     theta = damping
     energy, psi = evaluate(omega)
-    mu = 0.0
+    mu = None
     residual = math.inf
     it = 0
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        mu, f_omega = solve_multiplier(psi, meas, profile, kappa)
+        mu, f_omega = solve_multiplier(psi, meas, profile, kappa, mu0=mu)
         residual = float(np.sum(meas * np.abs(f_omega - omega))) / kappa
         if residual <= tol:
             break
@@ -465,7 +484,8 @@ def to_state_2d(sol: LimitingSolution, n, box_halfwidth=None,
     theta = 0.5
     for _ in range(polish_iters):
         psi = potential_free_grid(Field2D(grid, vals, nonneg=True), params)
-        mu, f_new = solve_multiplier(psi.ravel(), meas, profile, kappa)
+        mu, f_new = solve_multiplier(psi.ravel(), meas, profile, kappa,
+                                     mu0=mu)
         f_new = f_new.reshape(vals.shape)
         residual = float(np.sum(np.abs(f_new - vals)) * a) / kappa
         if residual <= polish_tol:

@@ -6,8 +6,9 @@ Wcal = W eps^(3-2s).  The fixed point iterated is
 
     w <- (J')^{-1}((G+ w - Wcal x1 - mu)_+) * 1_disk,
 
-mu by mass bisection, Steiner-symmetrized in x2, Anderson-mixed with an
-energy-monitored damped step as fallback.  The converged state feeds the
+mu by a warm-started safeguarded Newton solve of the mass constraint,
+Steiner-symmetrized in x2, Anderson-mixed with an energy-monitored damped
+step as fallback.  The converged state feeds the
 identity battery: translation stationarity in x1 (the location identity),
 the multiplier representation through the structural constants, the
 full-plane weak form of the traveling wave, the recentred residual operator
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConvergenceError, DomainError, GsqgError, ParameterError
 from .fields import (
@@ -36,7 +36,7 @@ from .kernels import (
     potential_free_grid,
     potential_halfplane_grid,
     potential_image_grid,
-    _image_tableau,
+    _image_transform,
 )
 from .limiting import (
     LimitingSolution,
@@ -169,9 +169,11 @@ def ball_mask(grid: Grid2D, problem: PairProblem):
     return (X1 - cx) ** 2 + (X2 - cy) ** 2 <= problem.ball_radius ** 2
 
 
-def energy_E_eps(field: Field2D, problem: PairProblem) -> float:
-    """E = (1/2) int w G+ w - speed * int x1 w - int J(w)."""
-    psi = potential_halfplane_grid(field, problem.params)
+def energy_E_eps(field: Field2D, problem: PairProblem, psi=None) -> float:
+    """E = (1/2) int w G+ w - speed * int x1 w - int J(w); psi is the
+    field's half-plane potential when the caller already has it."""
+    if psi is None:
+        psi = potential_halfplane_grid(field, problem.params)
     a = field.grid.cell_area
     kin = 0.5 * float(np.sum(field.values * psi)) * a
     return kin - problem.speed * impulse(field) - float(
@@ -271,14 +273,15 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     def evaluate(w):
         """Energy and half-plane potential of an iterate."""
         f = Field2D(grid, w)
-        pf = potential_free_grid(f, params)
-        pi = potential_image_grid(f, params)
-        return _energy_parts(w, pf, pi, x1row, a, problem)[0], pf - pi
+        psi_w = potential_halfplane_grid(f, params)
+        return energy_E_eps(f, problem, psi_w), psi_w
 
     energy, psi = evaluate(vals)
+    mu = None
     for it in range(1, max_iter + 1):
         psi_eff = (psi - problem.speed * x1row[None, :]).ravel()[mflat]
-        mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa)
+        mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa,
+                                     mu0=mu)
         f_new = np.zeros(grid.ny * grid.nx)
         f_new[mflat] = f_sub
         f_new = f_new.reshape(grid.ny, grid.nx)
@@ -353,7 +356,9 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
 def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     """Derived quantities and the residual battery of a converged field: the
     tail of solve_pair, and the reload of a saved field (no iteration; mu
-    comes from one mass bisection)."""
+    comes from one cold-started multiplier solve, so a reload reproduces
+    the solver's mu bitwise).  The free and image potentials are computed
+    apart because the solution stores both."""
     params, profile = problem.params, problem.profile
     grid = field.grid
     a = grid.cell_area
@@ -407,9 +412,9 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
 def _image_weighted_potential(field: Field2D, params, exponent, weights=None):
     """sum_y c_s |x - ybar|^(2*exponent) w(y) m(y) at every cell center."""
     g = field.grid
-    tab, _ = _image_tableau(g, params, exponent)
     v = field.values if weights is None else field.values * weights
-    return fftconvolve(v[:, ::-1] * g.cell_area, tab, mode="valid")
+    return _image_transform(g, params.s, exponent).apply(
+        v[:, ::-1] * g.cell_area)
 
 
 def location_residual(sol: PairSolution):

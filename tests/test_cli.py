@@ -58,6 +58,23 @@ class TestUsage:
         rep = json.loads((out / "limiting.json").read_text())
         assert rep["kappa"] == 1.0
 
+    def test_config_seed_threads_unless_flagged(self, tmp_path):
+        from gsqg.cli import _build_parser, _merge
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 0.5\nthreads = 2\nseed = 7\n")
+
+        def merged(*flags):
+            return _merge(_build_parser().parse_args(
+                ["solve-limiting", "--config", str(cfg), *flags]))
+
+        got = merged()
+        assert (got["threads"], got["seed"]) == (2, 7)
+        got = merged("--threads", "3", "--seed", "0")
+        assert (got["threads"], got["seed"]) == (3, 0)
+        got = _merge(_build_parser().parse_args(["solve-limiting"]))
+        assert (got["threads"], got["seed"]) == (1, 0)
+
 
 class TestSolveLimiting:
     def test_run_products(self, tmp_path):

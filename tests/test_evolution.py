@@ -257,6 +257,16 @@ class TestEvolve:
         assert 0 in rep.snapshots
         assert len(rep.rows()) == len(rep.times)
 
+    def test_wall_check_at_first_and_last_diagnosis(self):
+        f = blob_field(n=32)
+        rep = evolve(f, PARAMS, EvolutionConfig(T=0.2, diag_every=1),
+                     reference=f)
+        assert len(rep.times) == rep.steps + 1 > 2
+        assert rep.wall_u1_max == [0.0, 0.0]
+        rep = evolve(f, PARAMS, EvolutionConfig(T=0.2, diag_every=1,
+                                                check_wall=False), reference=f)
+        assert rep.wall_u1_max == []
+
     def test_cfl_halving_then_abort(self):
         f = blob_field(n=48)
         cfg = EvolutionConfig(T=1.0, dt=1.0, max_dt_halvings=1,

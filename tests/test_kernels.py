@@ -14,6 +14,7 @@ from gsqg.kernels import (
     potential_free_grid,
     potential_halfplane,
     potential_halfplane_grid,
+    potential_image_grid,
     riesz_constant,
     singular_cell_weight,
     velocity_free,
@@ -32,6 +33,15 @@ SQUARE_CELL_075 = 0.018613269960259382
 
 def params(s):
     return KernelParams.from_order(s)
+
+
+# grids whose padded FFT lattices have odd lengths or an odd ny
+PADDING_GRIDS = pytest.mark.parametrize("grid", [
+    # odd padded lengths (27 x 35), source touching the wall
+    Grid2D(13, 17, 0.0, 1.3, -0.85, 0.85),
+    # padded 40 x 18, odd ny
+    Grid2D(20, 9, 0.15, 2.15, -0.45, 0.45),
+], ids=["13x17", "20x9"])
 
 
 class TestRieszConstant:
@@ -269,6 +279,22 @@ class TestPotentialHalfplane:
         np.testing.assert_allclose(potential_halfplane_grid(f, p), direct,
                                    rtol=1e-11, atol=1e-15)
 
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    @PADDING_GRIDS
+    def test_fused_grid_matches_split_and_direct(self, grid, s):
+        # one forward transform feeds both terms: equal to the two separate
+        # FFT routes at roundoff, and to the direct oracle
+        rng = np.random.default_rng(12)
+        f = Field2D(grid, rng.random((grid.ny, grid.nx)))
+        p = params(s)
+        fused = potential_halfplane_grid(f, p)
+        split = potential_free_grid(f, p) - potential_image_grid(f, p)
+        assert np.max(np.abs(fused - split)) <= 1e-14 * np.max(np.abs(split))
+        X1, X2 = grid.centers()
+        tg = np.column_stack([X1.ravel(), X2.ravel()])
+        direct = potential_halfplane(f, tg, p).reshape(grid.ny, grid.nx)
+        np.testing.assert_allclose(fused, direct, rtol=1e-11, atol=1e-15)
+
 
 class TestVelocity:
     def test_radial_center_is_zero(self):
@@ -323,12 +349,7 @@ class TestVelocity:
         self._check_pair_grid(Grid2D(11, 12, 0.4, 1.5, -0.6, 0.6), 0.5, 10)
 
     @pytest.mark.parametrize("s", [0.3, 0.5])
-    @pytest.mark.parametrize("grid", [
-        # odd padded lengths (27 x 35), source touching the wall
-        Grid2D(13, 17, 0.0, 1.3, -0.85, 0.85),
-        # padded 40 x 18, odd ny
-        Grid2D(20, 9, 0.15, 2.15, -0.45, 0.45),
-    ], ids=["13x17", "20x9"])
+    @PADDING_GRIDS
     def test_pair_grid_matches_direct_padding(self, grid, s):
         self._check_pair_grid(grid, s, 12)
 

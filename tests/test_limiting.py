@@ -140,6 +140,127 @@ class TestMultiplierBisection:
         assert mus[0] > mus[1] > mus[2]
 
 
+def _bisection_mu(psi, meas, prof, kappa):
+    """Reference multiplier: plain bisection to the last bit."""
+    def mass_at(mu):
+        return float(np.sum(meas * prof.Jprime_inverse(psi - mu)))
+
+    hi = float(psi.max())
+    lo = hi - 1.0
+    while mass_at(lo) <= kappa:
+        lo -= 2.0 * (hi - lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if mass_at(mid) > kappa:
+            lo = mid
+        else:
+            hi = mid
+
+
+class _CountingProfile:
+    """Delegates to a profile and counts its (J')^{-1} calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def Jprime_inverse(self, tau):
+        self.calls += 1
+        return self.inner.Jprime_inverse(tau)
+
+
+class TestMultiplierNewton:
+    @staticmethod
+    def _problem(seed, n=300):
+        rng = np.random.default_rng(seed)
+        return rng.random(n) * 2.0, np.full(n, 0.01)
+
+    @pytest.mark.parametrize("p", [0.8, 1.0, 1.5, 1.9])
+    def test_matches_reference_bisection(self, p):
+        psi, meas = self._problem(3)
+        prof = PowerProfile(p=p, s=0.5)
+        mu, omega = solve_multiplier(psi, meas, prof, kappa=1.0)
+        ref = _bisection_mu(psi, meas, prof, 1.0)
+        assert mu == pytest.approx(ref, rel=1e-12)
+        assert float(np.sum(meas * omega)) == pytest.approx(1.0, abs=1e-12)
+        expect = prof.Jprime_inverse(psi - ref)
+        np.testing.assert_allclose(omega, expect / np.sum(meas * expect),
+                                   rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.8, 1.5])
+    def test_warm_start_anywhere_gives_same_mu(self, p):
+        psi, meas = self._problem(4)
+        prof = PowerProfile(p=p, s=0.5)
+        cold = solve_multiplier(psi, meas, prof, kappa=1.0)[0]
+        top = float(psi.max())
+        # far left, just under the top (a one-cell active set), above it
+        for mu0 in (-50.0, top - 1e-9, top + 3.0):
+            mu = solve_multiplier(psi, meas, prof, kappa=1.0, mu0=mu0)[0]
+            assert mu == pytest.approx(cold, rel=1e-12)
+
+    def test_negative_root_expands_bracket(self):
+        psi, meas = self._problem(5)
+        psi = 0.05 * psi
+        prof = PowerProfile(p=1.5, s=0.5)
+        ref = _bisection_mu(psi, meas, prof, 40.0)
+        assert ref < -1.0
+        for mu0 in (None, 0.01):
+            mu, omega = solve_multiplier(psi, meas, prof, kappa=40.0, mu0=mu0)
+            assert mu == pytest.approx(ref, rel=1e-12)
+            assert float(np.sum(meas * omega)) == pytest.approx(40.0,
+                                                                rel=1e-12)
+
+    def test_general_profile_bisects(self):
+        from gsqg.profiles import GeneralProfile
+
+        psi, meas = self._problem(6)
+        prof = _CountingProfile(GeneralProfile(
+            f=lambda t: np.arctan(np.clip(t, 0.0, None)),
+            f_inverse=np.tan,
+            J=lambda t: -np.log(np.cos(np.clip(t, 0.0, 1.57))),
+            Jprime_inverse=lambda tau: np.arctan(np.clip(tau, 0.0, None)),
+        ))
+        mu, omega = solve_multiplier(psi, meas, prof, kappa=1.0)
+        ref = _bisection_mu(psi, meas, prof, 1.0)
+        assert mu == pytest.approx(ref, rel=1e-12)
+        assert float(np.sum(meas * omega)) == pytest.approx(1.0, abs=1e-12)
+        # bisection halves a bracket of width max(psi): many evaluations
+        assert prof.calls > 20
+
+    def test_warm_started_calls_take_at_most_four_evaluations(
+            self, monkeypatch):
+        from gsqg import pair
+
+        lim = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=64, n_angles=48,
+                             tol=1e-5)
+        problem = pair.PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.2,
+                                   L=0.1)
+
+        def counts_of_one_solve():
+            counts = []
+
+            def counting(psi_eff, measures, profile, kappa, **kw):
+                prof = _CountingProfile(profile)
+                out = solve_multiplier(psi_eff, measures, prof, kappa, **kw)
+                counts.append((kw.get("mu0") is not None, prof.calls))
+                return out
+
+            monkeypatch.setattr(pair, "solve_multiplier", counting)
+            pair.solve_pair(problem, n=48, limiting=lim)
+            return counts
+
+        counts = counts_of_one_solve()
+        warm = [c for w, c in counts if w]
+        assert len(warm) >= 20
+        assert max(warm) <= 4
+        assert counts_of_one_solve() == counts
+
+
 class TestMonitoredStep:
     def test_accepted_step_regrows_theta(self):
         # energy -(x - 1)^2 from x = 0 towards 1: the first trial ascends

@@ -80,6 +80,28 @@ class TestEnergy:
         assert energy_E_eps(f, pb) == pytest.approx(expect, rel=1e-13)
 
 
+class TestLocationSides:
+    def test_image_weighted_potential_matches_direct_sum(self):
+        # the tableau FFT behind the location identity, against the sum
+        # sum_y c_s |x - ybar|^(2s-4) w(y) m(y) written out per target
+        from gsqg.pair import _image_weighted_potential
+
+        rng = np.random.default_rng(4)
+        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        g = pair_grid(pb, 16, support_estimate=0.12)
+        f = Field2D(g, rng.random((g.ny, g.nx)), nonneg=True)
+        X1, X2 = g.centers()
+        wts = X1 + 0.5
+        m = (f.values * wts).ravel() * g.cell_area
+        c_s, s = pb.params.c_s, pb.s
+        direct = np.array([
+            np.sum(c_s * ((x1 + X1.ravel()) ** 2 + (x2 - X2.ravel()) ** 2)
+                   ** (s - 2.0) * m)
+            for x1, x2 in zip(X1.ravel(), X2.ravel())]).reshape(X1.shape)
+        got = _image_weighted_potential(f, pb.params, s - 2.0, weights=wts)
+        np.testing.assert_allclose(got, direct, rtol=1e-11)
+
+
 class TestSolvePair:
     def test_invariants(self, pair_regime):
         for eps, sol in pair_regime.items():
