@@ -204,16 +204,21 @@ def _validate_profile(cfg):
 # commands
 
 
-def cmd_solve_limiting(cfg):
+def _solve_limiting(cfg):
+    """The limiting solve of solve-limiting and of solve-pair's first stage."""
     from .limiting import solve_limiting
-    _require(cfg, ["s", "p", "kappa", "out"])
-    _validate_profile(cfg)
-    run = RunDir(cfg["out"], cfg)
-    sol = solve_limiting(
+    return solve_limiting(
         cfg["s"], cfg["p"], kappa=cfg["kappa"], L=cfg.get("L"),
         nr=cfg.get("nr", 256), n_angles=cfg.get("n_angles", 64),
         tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
         damping=cfg.get("damping", 0.5))
+
+
+def cmd_solve_limiting(cfg):
+    _require(cfg, ["s", "p", "kappa", "out"])
+    _validate_profile(cfg)
+    run = RunDir(cfg["out"], cfg)
+    sol = _solve_limiting(cfg)
     run.write_json("limiting.json", sol.report())
     r = sol.omega0.radii()
     rows = "\n".join("%.17g,%.17g" % (ri, vi)
@@ -226,16 +231,11 @@ def cmd_solve_limiting(cfg):
 
 def cmd_solve_pair(cfg):
     from .fields import write_field
-    from .limiting import solve_limiting
     from .pair import ConstraintActiveError, PairProblem, solve_pair
     _require(cfg, ["s", "p", "kappa", "W", "out"])
     _validate_profile(cfg)
     run = RunDir(cfg["out"], cfg)
-    lim = solve_limiting(
-        cfg["s"], cfg["p"], kappa=cfg["kappa"], L=cfg.get("L"),
-        nr=cfg.get("nr", 256), n_angles=cfg.get("n_angles", 64),
-        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
-        damping=cfg.get("damping", 0.5))
+    lim = _solve_limiting(cfg)
     run.write_json("limiting.json", lim.report())
     run.stages["limiting"] = "limiting.json"
     status = EXIT_OK

@@ -28,8 +28,8 @@ from .fields import (
 )
 from .kernels import (
     KernelParams,
+    direct_sum,
     potential_halfplane_grid,
-    velocity_halfplane,
     velocity_pair_grid,
 )
 
@@ -103,7 +103,8 @@ def wall_normal_velocity(field: Field2D, params: KernelParams, n_points=None):
         n_points = g.ny
     x2 = np.linspace(g.x2min + 0.5 * g.h2, g.x2max - 0.5 * g.h2, n_points)
     targets = np.column_stack([np.zeros(n_points), x2])
-    return velocity_halfplane(field, targets, params)[:, 0]
+    return direct_sum(field, targets, params, velocity=True,
+                      halfplane=True)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ cell centers.  The potential's self cell uses the exact kernel integral over
 the equal-area disk of radius h/sqrt(pi); the velocity's self cell is zero
 (odd kernel over a symmetric cell).  Two evaluation routes exist:
 
-* direct summation at arbitrary targets, fixed per-target order (the oracle);
+* direct summation at arbitrary targets, fixed per-target order (the
+  oracle, `direct_sum`);
 * FFT convolution of the identical tableau for grid-aligned targets.
 """
 
@@ -61,34 +62,6 @@ def kernel_free(z, params: KernelParams):
     return params.c_s * r2 ** (params.s - 1.0)
 
 
-def kernel_halfplane(x, y, params: KernelParams):
-    """Images-difference kernel G(x - y) - G(x - ybar) on the right half plane.
-
-    Both terms go through one power evaluation so equal separations cancel
-    bitwise (the kernel is exactly zero for wall arguments)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ybar = y * np.array([-1.0, 1.0])
-    zd = x - y
-    zi = x - ybar
-    rd = np.sum(zd * zd, axis=-1)
-    ri = np.sum(zi * zi, axis=-1)
-    if np.any(rd == 0.0) or np.any(ri == 0.0):
-        raise SingularityError("half-plane kernel evaluated at coincident points")
-    kd, ki = params.c_s * np.stack([rd, ri]) ** (params.s - 1.0)
-    return kd - ki
-
-
-@dataclass(frozen=True)
-class HalfPlaneKernel:
-    """Callable wrapper for the images-difference kernel."""
-
-    params: KernelParams
-
-    def __call__(self, x, y):
-        return kernel_halfplane(x, y, self.params)
-
-
 def singular_cell_weight(h: float, params: KernelParams) -> float:
     """Exact kernel integral over the equal-area disk of a square cell.
 
@@ -112,96 +85,49 @@ def _cell_data(field: Field2D):
     return X1.ravel(), X2.ravel(), m.ravel()
 
 
-def potential_free(field: Field2D, targets, params: KernelParams):
-    """Midpoint-rule potential sum_y G(x - y) m(y) at arbitrary targets.
+def direct_sum(field: Field2D, targets, params: KernelParams,
+               velocity=False, halfplane=False):
+    """Midpoint-rule potential or velocity of a field at arbitrary targets.
 
-    A target coinciding with a cell center takes that cell's contribution
-    from the equal-area-disk weight instead of the singular kernel value.
-    Summation is numpy's fixed pairwise order per target; results do not
-    depend on how targets are partitioned across workers.
+    The potential is sum_y G(x - y) m(y); the velocity is
+    u(x) = sum_y c_s (2s-2) |x-y|^(2s-4) (x-y)^perp m(y), with
+    (a1, a2)^perp = (a2, -a1), returned as an (n, 2) array.  A target
+    coinciding with a cell center takes that cell's contribution from the
+    equal-area-disk weight (potential) or zero (velocity) instead of the
+    singular kernel value.  With halfplane=True the reflection of the field
+    is subtracted (the odd-in-x1 extension); each pair (cell, image cell) is
+    combined before summation, so on the wall x1 = 0 the potential and u1
+    vanish exactly in floating point.  Summation is numpy's fixed pairwise
+    order per target; results do not depend on how targets are partitioned
+    across workers.
     """
     g = field.grid
+    if halfplane and g.x1min < -1e-12 * g.h1:
+        raise DomainError("half-plane sums need support in {x1 >= 0}")
     cx, cy, m = _cell_data(field)
+    fac, expo = params.c_s, params.s - 1.0
     w_self = singular_cell_weight(g.h1, params) / g.cell_area
+    if velocity:
+        fac, expo, w_self = fac * (2.0 * params.s - 2.0), params.s - 2.0, 0.0
     tol2 = (_COINCIDE_REL * g.h1) ** 2
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(targets.shape[0])
-    for k, (tx, ty) in enumerate(targets):
-        r2 = (tx - cx) ** 2 + (ty - cy) ** 2
-        hit = r2 < tol2
-        kern = params.c_s * np.where(hit, 1.0, r2) ** (params.s - 1.0)
-        kern = np.where(hit, w_self, kern)
-        out[k] = np.sum(kern * m)
-    return out
-
-
-def potential_halfplane(field: Field2D, targets, params: KernelParams):
-    """Half-plane potential: free potential of the field minus that of its
-    reflection.  Vanishes identically on the wall x1 = 0."""
-    if field.grid.x1min < -1e-12 * field.grid.h1:
-        raise DomainError("half-plane potential needs support in {x1 >= 0}")
-    g = field.grid
-    cx, cy, m = _cell_data(field)
-    w_self = singular_cell_weight(g.h1, params) / g.cell_area
-    tol2 = (_COINCIDE_REL * g.h1) ** 2
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(targets.shape[0])
-    for k, (tx, ty) in enumerate(targets):
-        r2 = (tx - cx) ** 2 + (ty - cy) ** 2
-        hit = r2 < tol2
-        kern = params.c_s * np.where(hit, 1.0, r2) ** (params.s - 1.0)
-        kern = np.where(hit, w_self, kern)
-        r2i = (tx + cx) ** 2 + (ty - cy) ** 2
-        kern_img = params.c_s * r2i ** (params.s - 1.0)
-        out[k] = np.sum((kern - kern_img) * m)
-    return out
-
-
-def velocity_free(field: Field2D, targets, params: KernelParams):
-    """u(x) = sum_y c_s (2s-2) |x-y|^(2s-4) (x-y)^perp m(y), with
-    (a1, a2)^perp = (a2, -a1); the self cell contributes zero."""
-    g = field.grid
-    cx, cy, m = _cell_data(field)
-    fac = params.c_s * (2.0 * params.s - 2.0)
-    tol2 = (_COINCIDE_REL * g.h1) ** 2
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty_like(targets)
+    out = np.empty((targets.shape[0], 2 if velocity else 1))
     for k, (tx, ty) in enumerate(targets):
         dx, dy = tx - cx, ty - cy
         r2 = dx * dx + dy * dy
         hit = r2 < tol2
-        rad = fac * np.where(hit, 1.0, r2) ** (params.s - 2.0)
-        rad = np.where(hit, 0.0, rad)
-        out[k, 0] = np.sum(rad * dy * m)
-        out[k, 1] = np.sum(rad * (-dx) * m)
-    return out
-
-
-def velocity_halfplane(field: Field2D, targets, params: KernelParams):
-    """Velocity induced by the odd-in-x1 extension of a half-plane field.
-
-    Each pair (cell, image cell) is combined before summation, so at wall
-    targets (x1 = 0) the u1 components cancel exactly in floating point.
-    """
-    if field.grid.x1min < -1e-12 * field.grid.h1:
-        raise DomainError("half-plane velocity needs support in {x1 >= 0}")
-    g = field.grid
-    cx, cy, m = _cell_data(field)
-    fac = params.c_s * (2.0 * params.s - 2.0)
-    tol2 = (_COINCIDE_REL * g.h1) ** 2
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty_like(targets)
-    for k, (tx, ty) in enumerate(targets):
-        dx, dy = tx - cx, ty - cy
-        r2 = dx * dx + dy * dy
-        hit = r2 < tol2
-        rad = fac * np.where(hit, 1.0, r2) ** (params.s - 2.0)
-        rad = np.where(hit, 0.0, rad)
-        dxi = tx + cx
-        radi = fac * (dxi * dxi + dy * dy) ** (params.s - 2.0)
-        out[k, 0] = np.sum((rad - radi) * dy * m)
-        out[k, 1] = np.sum((-rad * dx + radi * dxi) * m)
-    return out
+        kern = np.where(hit, w_self, fac * np.where(hit, 1.0, r2) ** expo)
+        if halfplane:
+            dxi = tx + cx
+            kern_i = fac * (dxi * dxi + dy * dy) ** expo
+        if not velocity:
+            out[k] = np.sum((kern - kern_i if halfplane else kern) * m)
+        elif halfplane:
+            out[k] = (np.sum((kern - kern_i) * dy * m),
+                      np.sum((-kern * dx + kern_i * dxi) * m))
+        else:
+            out[k] = np.sum(kern * dy * m), np.sum(kern * (-dx) * m)
+    return out if velocity else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +261,7 @@ def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
 def potential_free_grid(field: Field2D, params: KernelParams) -> np.ndarray:
     """Free-space potential at every cell center of the field's own grid.
 
-    Computes exactly the midpoint sum of `potential_free` via FFT convolution
+    Computes exactly the midpoint sum of `direct_sum` via FFT convolution
     (deterministic, identical up to roundoff)."""
     tf = _grid_transforms(field.grid, params.s)
     return tf["pot"].apply(field.values * field.grid.cell_area)
@@ -361,13 +287,6 @@ def potential_halfplane_grid(field: Field2D, params: KernelParams) -> np.ndarray
     pot, img = tf["pot"], tf["img"]
     M = pot.forward(field.values * g.cell_area)
     return pot.inverse(pot.hat * M - img["pot_hat"] * np.conj(M[img["rev"]]))
-
-
-def velocity_free_grid(field: Field2D, params: KernelParams):
-    """(u1, u2) arrays at the field's cell centers, free-space kernel."""
-    tf = _grid_transforms(field.grid, params.s)
-    m = field.values * field.grid.cell_area
-    return tf["vel"][0].apply(m), tf["vel"][1].apply(m)
 
 
 def velocity_pair_grid(field: Field2D, params: KernelParams):

@@ -11,6 +11,11 @@ for every s in (0, 1).
 The fixed point iterated is  w  <-  f((psi - mu)_+)  with mu chosen by a
 safeguarded Newton solve, warm-started from the previous iterate's mu, so
 the mass stays exactly kappa, damped and monitored for energy ascent.
+`constrained_ascent` is that iteration for every maximizer of the lab: the
+radial solve here, its 2D polish (`to_state_2d`) and the half-plane pair
+(`pair.solve_pair`, which switches on Anderson mixing).  Each caller supplies
+the energy and potential, the multiplier target, the mass measure and the
+projection.
 """
 
 import math
@@ -152,7 +157,7 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None,
 
 
 # ---------------------------------------------------------------------------
-# energy-monitored damped step (shared with the pair solver)
+# energy-monitored damped step and the constrained fixed-point driver
 
 
 def monitored_step(trial_at, evaluate, energy, theta, damping):
@@ -173,16 +178,103 @@ def monitored_step(trial_at, evaluate, energy, theta, damping):
     return x, evaluate(x), theta, False
 
 
+def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
+                       damping, anderson, project=None, mu=None,
+                       name="fixed point"):
+    """Energy-monitored fixed point x <- f of a mass-constrained maximizer.
+
+    The caller supplies the problem: evaluate(x) -> (energy, psi), the
+    multiplier target target(psi, mu, it, residual) -> (mu, f) (it counts
+    from 1, residual is the previous iteration's), the mass measure
+    mass(v) and the projection onto admissible iterates (none by default).
+    Iteration it takes g = f - x and the residual mass(|g|) / kappa.
+
+    With anderson=False the solve stops at the first residual <= tol and
+    otherwise takes the damped step project(x + theta g) through
+    monitored_step.  With anderson=True a depth-4 Anderson candidate is
+    tried first and kept when its energy does not fall by more than 1e-6
+    relative; the damped step is the fallback and clears the history.
+    Mixing is for slow modes the damped map relaxes hopelessly slowly, like
+    the pair's blob position, whose force is itself part of the residual;
+    so the mixed solve does not stop at the first residual <= tol but once
+    the residual is <= tol and has not improved 0.7x for 30 iterations.
+
+    Eight rejected damped steps in a row, or max_iter iterations, raise
+    ConvergenceError.  Returns (x, psi, mu, energy, residual, iterations).
+    """
+    if project is None:
+        def project(v):
+            return v
+    energy, psi = evaluate(x)
+    theta = damping
+    residual = best = math.inf
+    since_best = bad_streak = 0
+    dX, dG = [], []
+    x_prev = g_prev = None
+    for it in range(1, max_iter + 1):
+        mu, f = target(psi, mu, it, residual)
+        g = f - x
+        residual = mass(np.abs(g)) / kappa
+        if not anderson:
+            if residual <= tol:
+                break
+        else:
+            if residual < 0.7 * best:
+                best, since_best = residual, 0
+            else:
+                since_best += 1
+            if residual <= tol and since_best >= 30:
+                break
+            if x_prev is not None:
+                dX.append((x - x_prev).ravel())
+                dG.append((g - g_prev).ravel())
+                if len(dX) > 4:
+                    dX.pop(0)
+                    dG.pop(0)
+            x_prev, g_prev = x, g
+            if dX:
+                GM = np.column_stack(dG)
+                # regularized least squares: keep the extrapolation tame once
+                # the history becomes nearly rank-deficient at the floor
+                gam, *_ = np.linalg.lstsq(GM, g.ravel(), rcond=1e-8)
+                nrm = float(np.linalg.norm(gam))
+                if nrm > 50.0:
+                    gam *= 50.0 / nrm
+                cand = x.ravel() + g.ravel() - (np.column_stack(dX) + GM) @ gam
+                cand = project(cand.reshape(x.shape))
+                e_t, psi_t = evaluate(cand)
+                if e_t >= energy - 1e-6 * max(abs(energy), 1e-30):
+                    x, psi, energy = cand, psi_t, e_t
+                    continue
+            dX.clear()
+            dG.clear()
+        x, (energy, psi), theta, stepped = monitored_step(
+            lambda t: project(x + t * g), evaluate, energy, theta, damping)
+        bad_streak = 0 if stepped else bad_streak + 1
+        if bad_streak >= 8:
+            raise ConvergenceError(f"{name}: sustained energy descent",
+                                   residual=residual, iterations=it)
+    else:
+        raise ConvergenceError(
+            f"{name}: no convergence in {max_iter} iterations "
+            f"(residual {residual:.3g})", residual=residual,
+            iterations=max_iter)
+    return x, psi, mu, energy, residual, it
+
+
 # ---------------------------------------------------------------------------
 # energies
 
 
-def energy_E0(field: Field2D, profile, params: KernelParams) -> float:
-    """E0 = (1/2) int w G*w - int J(w) for a cell-averaged field."""
+def energy_E0(field: Field2D, profile, params: KernelParams,
+              psi=None) -> float:
+    """E0 = (1/2) int w G*w - int J(w) for a cell-averaged field; psi is the
+    field's potential when the caller already has it."""
     vals = field.values
     if np.any(vals < 0):
         raise DomainError("E0 is defined for nonnegative fields")
-    psi = potential_free_grid(field, params)
+    if psi is None:
+        psi = potential_free_grid(field, params)
     a = field.grid.cell_area
     return float(0.5 * np.sum(vals * psi) * a - np.sum(profile.J(vals)) * a)
 
@@ -282,18 +374,8 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")
-
-    r_patch, support_est, _ = _initial_patch(profile, params, kappa)
-    if rmax is None:
-        # cheap coarse pass to size the domain: the patch estimate can be off
-        # by an order of magnitude when the ground state is concentrated
-        coarse = _with_domain_retry(
-            profile, params, kappa, min(96, nr), 8.0 * support_est, 64,
-            1e-4, max_iter, damping, r_patch, [])
-        rmax = 4.0 * coarse.support_radius
-
-    return _with_domain_retry(profile, params, kappa, nr, rmax, n_angles,
-                              tol, max_iter, damping, r_patch, warnings)
+    return _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
+                        max_iter, damping, warnings)
 
 
 def solve_limiting_general(s, profile, kappa=1.0, nr=128, rmax=None,
@@ -306,35 +388,41 @@ def solve_limiting_general(s, profile, kappa=1.0, nr=128, rmax=None,
     params = KernelParams.from_order(s)
     if kappa <= 0:
         raise ParameterError("kappa must be positive")
+    return _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
+                        max_iter, damping, [])
+
+
+def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
+                 max_iter, damping, warnings):
+    """Solve on [0, rmax], doubling rmax once when the support touches
+    0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
+    the patch estimate can be off by an order of magnitude when the ground
+    state is concentrated."""
     r_patch, support_est, _ = _initial_patch(profile, params, kappa)
+
+    def solve(nr, rmax, n_angles, tol, warnings):
+        for attempt in range(2):
+            sol = _solve_limiting_on(
+                profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
+                damping, r_patch, warnings, s)
+            if sol.support_radius <= 0.9 * rmax:
+                return sol
+            if attempt == 0:
+                warnings.append(f"support touched 0.9*rmax={0.9 * rmax:.3g}; "
+                                "doubling rmax")
+                rmax *= 2.0
+        raise DomainTooSmallError(
+            f"support radius {sol.support_radius:.3g} still touches "
+            f"rmax={rmax:.3g} after doubling")
+
     if rmax is None:
-        coarse = _with_domain_retry(
-            profile, params, kappa, min(96, nr), 8.0 * support_est, 64,
-            1e-4, max_iter, damping, r_patch, [], s=s)
-        rmax = 4.0 * coarse.support_radius
-    return _with_domain_retry(profile, params, kappa, nr, rmax, n_angles,
-                              tol, max_iter, damping, r_patch, [], s=s)
-
-
-def _with_domain_retry(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, damping, r_patch, warnings, s=None):
-    for attempt in range(2):
-        sol = _solve_limiting_on(
-            profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
-            damping, r_patch, warnings, s=s)
-        if sol.support_radius <= 0.9 * rmax:
-            return sol
-        if attempt == 0:
-            warnings.append(
-                f"support touched 0.9*rmax={0.9 * rmax:.3g}; doubling rmax")
-            rmax *= 2.0
-    raise DomainTooSmallError(
-        f"support radius {sol.support_radius:.3g} still touches rmax={rmax:.3g} "
-        "after doubling")
+        rmax = 4.0 * solve(min(96, nr), 8.0 * support_est, 64, 1e-4,
+                           []).support_radius
+    return solve(nr, rmax, n_angles, tol, warnings)
 
 
 def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, damping, r_patch, warnings, s=None):
+                       max_iter, damping, r_patch, warnings, s):
     dr = rmax / nr
     r = (np.arange(nr) + 0.5) * dr
     meas = math.pi * ((np.arange(nr) + 1) ** 2 - np.arange(nr) ** 2) * dr ** 2
@@ -352,29 +440,13 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
         psi_x = M @ x
         return _radial_energy(x, psi_x, meas, profile)[0], psi_x
 
-    theta = damping
-    energy, psi = evaluate(omega)
-    mu = None
-    residual = math.inf
-    it = 0
-    bad_streak = 0
-    for it in range(1, max_iter + 1):
-        mu, f_omega = solve_multiplier(psi, meas, profile, kappa, mu0=mu)
-        residual = float(np.sum(meas * np.abs(f_omega - omega))) / kappa
-        if residual <= tol:
-            break
-        omega, (energy, psi), theta, stepped = monitored_step(
-            lambda t: (1.0 - t) * omega + t * f_omega, evaluate, energy,
-            theta, damping)
-        bad_streak = 0 if stepped else bad_streak + 1
-        if bad_streak >= 8:
-            raise ConvergenceError(
-                "sustained energy descent in the damped iteration",
-                residual=residual, iterations=it)
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (residual {residual:.3g})",
-            residual=residual, iterations=max_iter)
+    def target(psi, mu, it, residual):
+        return solve_multiplier(psi, meas, profile, kappa, mu0=mu)
+
+    omega, psi, mu, _, residual, it = constrained_ascent(
+        omega, evaluate, target, lambda v: float(np.sum(meas * v)),
+        kappa=kappa, tol=tol, max_iter=max_iter, damping=damping,
+        anderson=False, name="limiting solve")
 
     energy, kin, jint = _radial_energy(omega, psi, meas, profile)
     nz = np.nonzero(omega > 1e-12 * omega.max())[0]
@@ -469,7 +541,9 @@ def radial_to_field(radial: RadialField, grid: Grid2D,
 def to_state_2d(sol: LimitingSolution, n, box_halfwidth=None,
                 polish_iters=200, polish_tol=1e-8) -> Limiting2DState:
     """Resample the radial ground state onto an n x n grid and polish it with
-    the same damped fixed point so the 2D discrete EL equation holds."""
+    the same monitored fixed point so the 2D discrete EL equation holds.
+    Raises ConvergenceError when polish_iters iterations do not reach
+    polish_tol."""
     if box_halfwidth is None:
         box_halfwidth = 1.45 * sol.support_radius
     grid = Grid2D(n, n, -box_halfwidth, box_halfwidth,
@@ -479,24 +553,24 @@ def to_state_2d(sol: LimitingSolution, n, box_halfwidth=None,
     a = grid.cell_area
     vals = f.values * (kappa / (np.sum(f.values) * a))
     meas = np.full(vals.size, a)
-    mu = sol.mu0
-    residual = math.inf
-    theta = 0.5
-    for _ in range(polish_iters):
-        psi = potential_free_grid(Field2D(grid, vals, nonneg=True), params)
+
+    def evaluate(x):
+        field = Field2D(grid, x, nonneg=True)
+        psi = potential_free_grid(field, params)
+        return energy_E0(field, profile, params, psi), psi
+
+    def target(psi, mu, it, residual):
         mu, f_new = solve_multiplier(psi.ravel(), meas, profile, kappa,
                                      mu0=mu)
-        f_new = f_new.reshape(vals.shape)
-        residual = float(np.sum(np.abs(f_new - vals)) * a) / kappa
-        if residual <= polish_tol:
-            break
-        vals = (1.0 - theta) * vals + theta * f_new
-    field = Field2D(grid, vals, nonneg=True)
-    psi = potential_free_grid(field, params)
-    e0 = energy_E0(field, profile, params)
-    return Limiting2DState(field=field, psi=psi, mu=mu, E0=e0, s=sol.s,
-                           p=sol.p, L=sol.L, kappa=kappa,
-                           polish_residual=residual)
+        return mu, f_new.reshape(psi.shape)
+
+    vals, psi, mu, e0, residual, _ = constrained_ascent(
+        vals, evaluate, target, lambda v: float(np.sum(v) * a), kappa=kappa,
+        tol=polish_tol, max_iter=polish_iters, damping=0.5, anderson=False,
+        mu=sol.mu0, name="2D polish")
+    return Limiting2DState(field=Field2D(grid, vals, nonneg=True), psi=psi,
+                           mu=mu, E0=e0, s=sol.s, p=sol.p, L=sol.L,
+                           kappa=kappa, polish_residual=residual)
 
 
 def linearized_apply(phi: Field2D, state: Limiting2DState,

@@ -7,8 +7,9 @@ Wcal = W eps^(3-2s).  The fixed point iterated is
     w <- (J')^{-1}((G+ w - Wcal x1 - mu)_+) * 1_disk,
 
 mu by a warm-started safeguarded Newton solve of the mass constraint,
-Steiner-symmetrized in x2, Anderson-mixed with an energy-monitored damped
-step as fallback.  The converged state feeds the
+Steiner-symmetrized in x2 on a fixed schedule, and iterated by
+`limiting.constrained_ascent` with Anderson mixing and the energy-monitored
+damped step as fallback.  The converged state feeds the
 identity battery: translation stationarity in x1 (the location identity),
 the multiplier representation through the structural constants, the
 full-plane weak form of the traveling wave, the recentred residual operator
@@ -28,6 +29,7 @@ from .fields import (
     lp_norm,
     mass,
     orbital_distance,
+    rearrangement_equimeasurable,
     reflect_oddify,
     steiner_symmetrize_x2,
 )
@@ -40,7 +42,7 @@ from .kernels import (
 )
 from .limiting import (
     LimitingSolution,
-    monitored_step,
+    constrained_ascent,
     radial_to_field,
     solve_limiting,
     solve_multiplier,
@@ -213,7 +215,7 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     Initialization plants the limiting ground state at the expected center.
     The blob position in x1 is a near-neutral mode (its restoring force is
     the O(eps^(3-2s)) translation term), so the damped map alone relaxes it
-    hopelessly slowly; Anderson mixing over a short history removes it, with
+    hopelessly slowly; constrained_ascent's Anderson mixing removes it, with
     the energy-monitored damped step as the safeguarded fallback.
 
     Raises ConstraintActiveError when the converged support touches the
@@ -249,19 +251,8 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         m0 = float(np.sum(vals)) * a
     vals = vals * (problem.kappa / m0)
 
-    theta = damping
-    residual = math.inf
     mflat = mask.ravel()
     meas_sub = np.full(int(mflat.sum()), a)
-    it = 0
-    bad_streak = 0
-    # Anderson mixing history (kills the near-neutral position mode that the
-    # plain damped map relaxes at rate 1 - O(eps^(3-2s)))
-    and_depth = 4
-    dX, dG = [], []
-    x_prev = g_prev = None
-    best_residual = math.inf
-    since_best = 0
 
     def _project(w):
         w = np.clip(w, 0.0, None) * mask
@@ -276,9 +267,7 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         psi_w = potential_halfplane_grid(f, params)
         return energy_E_eps(f, problem, psi_w), psi_w
 
-    energy, psi = evaluate(vals)
-    mu = None
-    for it in range(1, max_iter + 1):
+    def target(psi, mu, it, residual):
         psi_eff = (psi - problem.speed * x1row[None, :]).ravel()[mflat]
         mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa,
                                      mu0=mu)
@@ -289,55 +278,12 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         # is exactly its own symmetrization (the final pass becomes a no-op)
         if it % sym_every == 0 or residual <= 10.0 * tol:
             f_new = steiner_symmetrize_x2(Field2D(grid, f_new, True)).values
-        g = f_new - vals
-        residual = float(np.sum(np.abs(g))) * a / problem.kappa
-        # The blob-position force is itself part of the residual, so the
-        # residual cannot floor while the position is still relaxing; stop
-        # once it is under tol and the mixing has stopped improving it.
-        if residual < 0.7 * best_residual:
-            best_residual = residual
-            since_best = 0
-        else:
-            since_best += 1
-        if residual <= tol and since_best >= 30:
-            break
-        if x_prev is not None:
-            dX.append((vals - x_prev).ravel())
-            dG.append((g - g_prev).ravel())
-            if len(dX) > and_depth:
-                dX.pop(0)
-                dG.pop(0)
-        x_prev, g_prev = vals, g
-        accepted = False
-        if dX:
-            GM = np.column_stack(dG)
-            # regularized least squares: keep the extrapolation tame once the
-            # history becomes nearly rank-deficient at the residual floor
-            gam, *_ = np.linalg.lstsq(GM, g.ravel(), rcond=1e-8)
-            nrm = float(np.linalg.norm(gam))
-            if nrm > 50.0:
-                gam *= 50.0 / nrm
-            cand = vals.ravel() + g.ravel() - (np.column_stack(dX) + GM) @ gam
-            cand = _project(cand.reshape(grid.ny, grid.nx))
-            e_t, psi_t = evaluate(cand)
-            if e_t >= energy - 1e-6 * max(abs(energy), 1e-30):
-                vals, psi, energy = cand, psi_t, e_t
-                accepted = True
-        if not accepted:
-            # damped fallback with energy-ascent monitor
-            dX.clear()
-            dG.clear()
-            vals, (energy, psi), theta, stepped = monitored_step(
-                lambda t: _project(vals + t * g), evaluate, energy, theta,
-                damping)
-            bad_streak = 0 if stepped else bad_streak + 1
-            if bad_streak >= 8:
-                raise ConvergenceError("sustained energy descent",
-                                       residual=residual, iterations=it)
-    else:
-        raise ConvergenceError(
-            f"pair solve: no convergence in {max_iter} iterations "
-            f"(residual {residual:.3g})", residual=residual, iterations=max_iter)
+        return mu, f_new
+
+    vals, *_, it = constrained_ascent(
+        vals, evaluate, target, lambda v: float(np.sum(v)) * a,
+        kappa=problem.kappa, tol=tol, max_iter=max_iter, damping=damping,
+        anderson=True, project=_project, name="pair solve")
 
     # final symmetrization pass (a no-op for the converged iterate), then
     # recompute the consistent state and certify the residual on it
@@ -615,7 +561,8 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
     x1row = g.x1_centers()
     ref_sorted = np.sort(reference.values, axis=None)[::-1]
     zeta = (reference if start is None else start).copy()
-    if start is not None and not rearrangement_equal_sorted(reference, start):
+    if start is not None and (start.grid != g or not
+                              rearrangement_equimeasurable(reference, start)):
         raise DomainError("start must be a rearrangement of the reference")
     trace = [rearrangement_energy(zeta, problem)]
     stalled = True
@@ -638,12 +585,6 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
             break
     return zeta, {"energy_trace": trace, "stalled": stalled,
                   "iterations": len(trace) - 1}
-
-
-def rearrangement_equal_sorted(f1: Field2D, f2: Field2D) -> bool:
-    v1 = np.sort(f1.values, axis=None)
-    v2 = np.sort(f2.values, axis=None)
-    return v1.size == v2.size and bool(np.all(v1 == v2))
 
 
 def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
@@ -684,7 +625,7 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
         "best_shift": c,
         "two_cell_threshold": threshold,
         "collapsed_to_translate": bool(dist <= threshold),
-        "equimeasurable": rearrangement_equal_sorted(zeta, ref),
+        "equimeasurable": rearrangement_equimeasurable(zeta, ref),
     }
 
 

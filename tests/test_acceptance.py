@@ -67,7 +67,7 @@ def test_criterion_2_quadrature_oracle():
     """Unit-disk potential at the center: 1.0 within 2% at 256^2,
     improving >= 1.5x at 512^2."""
     from gsqg.fields import Field2D, Grid2D
-    from gsqg.kernels import KernelParams, potential_free
+    from gsqg.kernels import KernelParams, direct_sum
 
     params = KernelParams.from_order(0.5)
     err = {}
@@ -75,7 +75,7 @@ def test_criterion_2_quadrature_oracle():
         g = Grid2D(n, n, -1.2, 1.2, -1.2, 1.2)
         X1, X2 = g.centers()
         f = Field2D(g, (X1 ** 2 + X2 ** 2 <= 1.0).astype(float), nonneg=True)
-        err[n] = abs(potential_free(f, [[0.0, 0.0]], params)[0] - 1.0)
+        err[n] = abs(direct_sum(f, [[0.0, 0.0]], params)[0] - 1.0)
     ok = err[256] <= 0.02 and err[256] / err[512] >= 1.5
     line(2, ok, f"center error {err[256]:.2e} at 256^2, "
                 f"improvement x{err[256] / err[512]:.2f} at 512^2")

@@ -50,13 +50,14 @@ class TestVelocity:
     def test_self_induced_drift_matches_point_pair(self):
         # far-from-wall blob: velocity at its exact center is the
         # image-induced drift -c_s (2-2s) kappa (2a)^(2s-3) e2 + O((R/a)^2)
-        from gsqg.kernels import velocity_halfplane
+        from gsqg.kernels import direct_sum
 
         a = 8.0
         f = blob_field(n=128, center=(a, 0.0), radius=0.35,
                        x1span=(a - 1.0, a + 1.0))
         kappa = mass(f)
-        u = velocity_halfplane(f, [[a, 0.0]], PARAMS)[0]
+        u = direct_sum(f, [[a, 0.0]], PARAMS, velocity=True,
+                       halfplane=True)[0]
         expect = -PARAMS.c_s * (2 - 2 * PARAMS.s) * kappa \
             * (2 * a) ** (2 * PARAMS.s - 3)
         assert u[1] == pytest.approx(expect, rel=0.05)

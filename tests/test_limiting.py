@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from gsqg.errors import (
+    ConvergenceError,
     DomainTooSmallError,
     ParameterError,
     RegimeError,
@@ -15,6 +16,7 @@ from gsqg.kernels import KernelParams, potential_free_grid
 from gsqg.limiting import (
     LimitingSolution,
     _initial_patch,
+    constrained_ascent,
     energy_E0,
     linearized_apply,
     monitored_step,
@@ -282,6 +284,87 @@ class TestMonitoredStep:
         assert thetas == [0.5 / 2 ** k for k in range(8)]
         assert theta == x == 0.5 / 128
         assert (e, aux) == (-0.5 / 128, "aux")
+
+
+class TestConstrainedAscent:
+    @staticmethod
+    def _radial(nr=48, rmax=0.4):
+        # small radial ground-state problem (s 0.5, p 1.5, L 0.1; support
+        # radius ~0.12) started from a uniform disk of radius 0.2
+        params = KernelParams.from_order(0.5)
+        prof = PowerProfile(p=1.5, s=0.5, L=0.1)
+        dr = rmax / nr
+        r = (np.arange(nr) + 0.5) * dr
+        meas = math.pi * ((np.arange(nr) + 1) ** 2
+                          - np.arange(nr) ** 2) * dr ** 2
+        M = ring_potential_matrix(r, r, dr, params, n_angles=48)
+        x0 = np.where(r < 0.2, 1.0, 0.0)
+        x0 /= float(np.sum(meas * x0))
+        calls = []
+
+        def evaluate(x):
+            psi = M @ x
+            e = 0.5 * float(np.sum(meas * x * psi)) \
+                - float(np.sum(meas * prof.J(x)))
+            return e, psi
+
+        def target(psi, mu, it, residual):
+            calls.append((it, residual))
+            return solve_multiplier(psi, meas, prof, 1.0, mu0=mu)
+
+        def run(**kw):
+            calls.clear()
+            return constrained_ascent(
+                x0, evaluate, target, lambda v: float(np.sum(meas * v)),
+                kappa=1.0, damping=0.5, anderson=False, **kw)
+
+        return run, calls
+
+    def test_plain_run_stops_at_first_residual_below_tol(self):
+        run, calls = self._radial()
+        tol = 1e-6
+        x, psi, mu, energy, residual, iters = run(tol=tol, max_iter=2000)
+        assert residual <= tol
+        # one target call per iteration; each call sees the residual of the
+        # iteration before, and every earlier residual was above tol
+        assert [it for it, _ in calls] == list(range(1, iters + 1))
+        assert calls[0][1] == math.inf
+        assert all(res > tol for _, res in calls[1:])
+        last_above = calls[-1][1]
+        with pytest.raises(ConvergenceError) as exc:
+            run(tol=tol, max_iter=iters - 1)
+        assert exc.value.iterations == iters - 1
+        assert exc.value.residual == last_above
+
+    def test_mixed_run_waits_out_the_plateau(self):
+        # starting at the fixed point the residual is 0 from the first
+        # iteration on: it never improves 0.7x again, so the run stops on
+        # the 30th iteration after the first
+        x0 = np.linspace(1.0, 2.0, 7)
+        calls = []
+
+        def target(psi, mu, it, residual):
+            calls.append(it)
+            return 0.0, x0.copy()
+
+        out = constrained_ascent(
+            x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
+            kappa=1.0, tol=1e-6, max_iter=100, damping=0.5, anderson=True)
+        np.testing.assert_array_equal(out[0], x0)
+        assert out[4] == 0.0 and out[5] == 31 and calls == list(range(1, 32))
+        with pytest.raises(ConvergenceError) as exc:
+            constrained_ascent(
+                x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
+                kappa=1.0, tol=1e-6, max_iter=30, damping=0.5, anderson=True)
+        assert exc.value.iterations == 30 and exc.value.residual == 0.0
+
+    def test_polish_budget_raises_named_error(self):
+        sol = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=48, n_angles=48,
+                             tol=1e-5)
+        with pytest.raises(ConvergenceError) as exc:
+            to_state_2d(sol, 32, polish_iters=5)
+        assert exc.value.iterations == 5
+        assert exc.value.residual > 1e-8
 
 
 class TestSolveLimiting:
