@@ -146,20 +146,20 @@ class RunDir:
         self.t0 = time.time()
         os.makedirs(path, exist_ok=True)
 
-    def write_json(self, name, obj):
-        full = os.path.join(self.path, name)
-        with open(full + ".tmp", "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(full + ".tmp", full)
-        self.files.append(name)
-        return full
-
-    def write_text(self, name, text):
+    def _write_atomic(self, name, text):
+        """Write text to name through a temporary file and an atomic rename."""
         full = os.path.join(self.path, name)
         with open(full + ".tmp", "w") as fh:
             fh.write(text)
         os.replace(full + ".tmp", full)
+        return full
+
+    def write_json(self, name, obj):
+        return self.write_text(
+            name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+    def write_text(self, name, text):
+        full = self._write_atomic(name, text)
         self.files.append(name)
         return full
 
@@ -175,11 +175,8 @@ class RunDir:
             "stages": self.stages,
             "files": sorted(self.files),
         }
-        full = os.path.join(self.path, "manifest.json")
-        with open(full + ".tmp", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(full + ".tmp", full)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        self._write_atomic("manifest.json", text)
 
 
 def _require(cfg, keys):

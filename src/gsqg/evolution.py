@@ -16,7 +16,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import (
+    ConvergenceError,
+    DegenerateInputError,
+    DomainError,
+    ParameterError,
+)
 from .fields import (
     Field2D,
     Grid2D,
@@ -33,6 +38,9 @@ from .kernels import (
     velocity_pair_grid,
 )
 
+_RECENTER_CELLS = 10  # center drift, in cells, that shifts the window
+_MASS_LOSS_TOL = 1e-3  # flag a step whose outflow exceeds this share of mass
+
 
 @dataclass
 class EvolutionConfig:
@@ -43,9 +51,7 @@ class EvolutionConfig:
     diag_every: int = 10
     snapshot_steps: tuple = ()
     snapshot_every: int = 0   # additionally snapshot every N steps
-    recenter_cells: int = 10
     max_dt_halvings: int = 3
-    mass_loss_tol: float = 1e-3
     check_wall: bool = True
 
     def __post_init__(self):
@@ -109,12 +115,6 @@ def wall_normal_velocity(field: Field2D, params: KernelParams, n_points=None):
 
 # ---------------------------------------------------------------------------
 # interpolation
-
-
-def _frac_index(grid, x, y):
-    fx = (x - grid.x1min) / grid.h1 - 0.5
-    fy = (y - grid.x2min) / grid.h2 - 0.5
-    return fx, fy
 
 
 def _bilinear_stencil(shape, fx, fy, ring=0):
@@ -187,22 +187,6 @@ def _sample_bicubic(arr, fx, fy):
         np.multiply(wy[a], row, out=row)
         np.add(out, row, out=out)
     return out, usable
-
-
-def interpolate_at(field: Field2D, x, y, method="bicubic"):
-    """Interpolate the cell-averaged field at points.  The field is sampled
-    from its copy padded with one ring of zeros, so values fade linearly from
-    the outermost cell centers to 0 half a cell beyond the window edge.
-    Bicubic values are clamped to the surrounding bilinear stencil range
-    (monotone: no new extrema, sign preserved)."""
-    fx, fy = _frac_index(field.grid, x, y)
-    stencil = _bilinear_stencil(field.values.shape, fx, fy, ring=1)
-    lin, lo, hi = _sample_bilinear(np.pad(field.values, 1), stencil,
-                                   bounds=True)
-    if method == "bilinear":
-        return lin
-    cub, usable = _sample_bicubic(field.values, fx, fy)
-    return np.where(usable, np.clip(cub, lo, hi), lin)
 
 
 def _swept_out(lines, depth):
@@ -289,21 +273,22 @@ def advect_step(field: Field2D, u1, u2, dt, config: EvolutionConfig):
     return new_field, lost
 
 
-def _recenter(field: Field2D, max_cells):
+def _recenter(field: Field2D):
     """Shift the window by whole cells once the density center has drifted
-    more than max_cells from the window center; x1 = 0 is never crossed."""
+    more than _RECENTER_CELLS cells from the window center; x1 = 0 is never
+    crossed.  A zero field has no center and stays where it is."""
     g = field.grid
     try:
         com = center_of_mass(field)
-    except Exception:
+    except DegenerateInputError:
         return field, (0, 0)
     mid = (0.5 * (g.x1min + g.x1max), 0.5 * (g.x2min + g.x2max))
     k1 = int(round((com[0] - mid[0]) / g.h1))
     k2 = int(round((com[1] - mid[1]) / g.h2))
-    if abs(k1) <= max_cells and abs(k2) <= max_cells:
+    if abs(k1) <= _RECENTER_CELLS and abs(k2) <= _RECENTER_CELLS:
         return field, (0, 0)
-    k1 = 0 if abs(k1) <= max_cells else k1
-    k2 = 0 if abs(k2) <= max_cells else k2
+    k1 = 0 if abs(k1) <= _RECENTER_CELLS else k1
+    k2 = 0 if abs(k2) <= _RECENTER_CELLS else k2
     if g.x1min + k1 * g.h1 < -1e-12 * g.h1:
         k1 = max(0, int(math.ceil(-g.x1min / g.h1)))
     grid = Grid2D(g.nx, g.ny,
@@ -351,7 +336,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
             com2 = center_of_mass(field)[1]
             ref2 = center_of_mass(ref)[1]
             guess = ref2 - com2
-        except Exception:
+        except DegenerateInputError:
             guess = 0.0
         span = 12.0 * field.grid.h2 + abs(speed_hint) * dt * config.diag_every
         dist, c = orbital_distance(field, ref, guess - span, guess + span)
@@ -387,10 +372,10 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
             n_steps = step + int(math.ceil((config.T - t) / dt))
             rep.flags.append(f"dt halved to {dt:.3g} at t={t:.3g}")
         field, lost = advect_step(field, u1, u2, dt, config)
-        if abs(lost) > config.mass_loss_tol * max(rep.mass[0], 1e-30):
+        if abs(lost) > _MASS_LOSS_TOL * max(rep.mass[0], 1e-30):
             rep.flags.append(f"mass outflow {lost:.3g} through the window "
                              f"edges in one step at t={t:.3g}")
-        field, _ = _recenter(field, config.recenter_cells)
+        field, _ = _recenter(field)
         t += dt
         step += 1
         if step % config.diag_every == 0 or step == n_steps:

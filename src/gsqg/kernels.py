@@ -13,7 +13,11 @@ the equal-area disk of radius h/sqrt(pi); the velocity's self cell is zero
 
 * direct summation at arbitrary targets, fixed per-target order (the
   oracle, `direct_sum`);
-* FFT convolution of the identical tableau for grid-aligned targets.
+* FFT convolution of the identical tableau for grid-aligned targets:
+  `potential_free_grid`, `potential_halfplane_grid` and
+  `velocity_pair_grid`.  Each takes one forward transform of the source
+  and multiplies it by kernel spectra cached per (grid, s); the image term
+  reuses that transform through the spectrum of the x1-flipped source.
 """
 
 import math
@@ -134,128 +138,93 @@ def direct_sum(field: Field2D, targets, params: KernelParams,
 # grid-aligned FFT fast paths (identical tableau, O(N log N))
 
 
-def _displacement_tableau(grid, params, self_weight):
-    """Kernel values at all cell-center displacements di in [-(nx-1), nx-1],
-    dj in [-(ny-1), ny-1]; entry (0,0) carries the self weight."""
+def _tableaus(grid, params, image):
+    """Potential and velocity kernels (u1, u2) at every cell-center
+    displacement d, -(n-1)..n-1 cells per axis.  The free term takes d = x - y
+    and its (0, 0) entry carries the self weight (potential) or zero
+    (velocity).  The image term takes d = x - ybar against the x1-flipped
+    source, so its x1 separations x1 + y1 are all positive."""
     nx, ny, h1, h2 = grid.nx, grid.ny, grid.h1, grid.h2
-    di = np.arange(-(nx - 1), nx) * h1
-    dj = np.arange(-(ny - 1), ny) * h2
-    R2 = dj[:, None] ** 2 + di[None, :] ** 2
-    ctr = (ny - 1, nx - 1)
-    R2[ctr] = 1.0
-    tab = params.c_s * R2 ** (params.s - 1.0)
-    tab[ctr] = self_weight
-    return tab
-
-
-def _image_tableau(grid, params, exponent):
-    """c_s * |x - ybar|^(2*exponent) on the displacement lattice of the
-    flipped-source correlation; all separations are strictly positive."""
-    nx, ny, h1, h2 = grid.nx, grid.ny, grid.h1, grid.h2
+    s, c_s = params.s, params.c_s
     d = np.arange(-(nx - 1), nx)
-    sx = (d + nx) * h1 + 2.0 * grid.x1min  # x1 + y1 separations, all > 0
-    dj = np.arange(-(ny - 1), ny) * h2
-    R2 = dj[:, None] ** 2 + sx[None, :] ** 2
-    return params.c_s * R2 ** exponent, sx
+    d1 = (d + nx) * h1 + 2.0 * grid.x1min if image else d * h1
+    d2 = np.arange(-(ny - 1), ny) * h2
+    R2 = d2[:, None] ** 2 + d1[None, :] ** 2
+    if image:
+        pot = c_s * R2 ** (s - 1.0)
+        rad = c_s * R2 ** (s - 2.0) * (2.0 * s - 2.0)
+    else:
+        ctr = (ny - 1, nx - 1)
+        R2[ctr] = 1.0
+        pot = c_s * R2 ** (s - 1.0)
+        pot[ctr] = singular_cell_weight(h1, params) / grid.cell_area
+        rad = c_s * (2.0 * s - 2.0) * R2 ** (s - 2.0)
+        rad[ctr] = 0.0
+    return pot, rad * d2[:, None], -rad * d1[None, :]
 
 
-class _TableauFFT:
-    """Precomputed FFT of one displacement tableau on a padded lattice.
+class _Lattice:
+    """Circulant embedding of an (ny, nx) grid in a padded (>= 2ny, >= 2nx)
+    lattice, where displacements -(n-1)..n-1 never alias.  hat(tab) is the
+    spectrum of a displacement tableau, forward(v) that of a zero-padded
+    source, and inverse(spec) the grid part of a real field: the linear
+    convolution sum_d T[d] v[x - d] is inverse(forward(v) * hat(T))."""
 
-    apply(v) returns the linear convolution sum_d T[d] v[x - d] restricted to
-    the grid, via circulant embedding of size (2ny, 2nx): displacements
-    -(n-1)..n-1 never alias there.  forward and inverse are its two halves,
-    so one source spectrum can feed several tableaus."""
-
-    def __init__(self, tab, ny, nx):
+    def __init__(self, ny, nx):
         self.ny, self.nx = ny, nx
         self.py = next_fast_len(2 * ny)
         self.px = next_fast_len(2 * nx)
-        C = np.zeros((self.py, self.px))
+
+    def hat(self, tab):
+        ny, nx, py, px = self.ny, self.nx, self.py, self.px
+        C = np.zeros((py, px))
         C[:ny, :nx] = tab[ny - 1:, nx - 1:]
-        C[:ny, self.px - nx + 1:] = tab[ny - 1:, :nx - 1]
-        C[self.py - ny + 1:, :nx] = tab[:ny - 1, nx - 1:]
-        C[self.py - ny + 1:, self.px - nx + 1:] = tab[:ny - 1, :nx - 1]
-        self.hat = rfft2(C)
+        C[:ny, px - nx + 1:] = tab[ny - 1:, :nx - 1]
+        C[py - ny + 1:, :nx] = tab[:ny - 1, nx - 1:]
+        C[py - ny + 1:, px - nx + 1:] = tab[:ny - 1, :nx - 1]
+        return rfft2(C)
 
     def forward(self, v):
-        """Spectrum of v zero-padded to the circulant lattice."""
         pad = np.zeros((self.py, self.px))
         pad[:self.ny, :self.nx] = v
         return rfft2(pad)
 
     def inverse(self, spec):
-        """Grid part of the real field with spectrum spec."""
         return irfft2(spec, s=(self.py, self.px))[:self.ny, :self.nx]
 
-    def apply(self, v):
-        return self.inverse(self.forward(v) * self.hat)
-
-
-def _grid_transforms(grid, s):
-    """Cached tableau FFTs: free and image potentials plus velocities.
-
-    The kernel tableaus are translation invariant in x2 and depend on x1
-    only through x1min (image terms), so the cache key drops x2 extents and
-    window recentering along the travel direction reuses the transforms."""
-    return _grid_transforms_cached(grid.nx, grid.ny, grid.h1, grid.h2,
-                                   grid.x1min, s)
-
-
-def _image_transform(grid, s, exponent):
-    """Cached tableau FFT of c_s |x - ybar|^(2*exponent), applied to the
-    x1-flipped source (same cache key as _grid_transforms)."""
-    return _image_transform_cached(grid.nx, grid.ny, grid.h1, grid.h2,
-                                   grid.x1min, s, exponent)
-
 
 @lru_cache(maxsize=16)
-def _image_transform_cached(nx, ny, h1, h2, x1min, s, exponent):
-    grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
-    tab, _ = _image_tableau(grid, KernelParams.from_order(s), exponent)
-    return _TableauFFT(tab, ny, nx)
+def _spectra(nx, ny, h1, h2, x1min, s):
+    """Lattice and kernel spectra of one grid: free "pot" and "vel" (u1, u2),
+    and on a grid in {x1 >= 0} the image "img_pot" and "img_vel".
 
-
-@lru_cache(maxsize=16)
-def _grid_transforms_cached(nx, ny, h1, h2, x1min, s):
+    The tableaus are translation invariant in x2 and depend on x1 only
+    through x1min (image terms), so the key drops the x2 extents and window
+    recentering along the travel direction reuses the spectra.  The x1-flipped
+    source v[:, ::-1] of a real v with spectrum M has spectrum
+    phase * conj(M[rev]), rev = (-k2) mod py; the phase is folded into the
+    image spectra, so the source's one forward transform feeds both terms."""
     grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
     params = KernelParams.from_order(s)
-    w_self = singular_cell_weight(grid.h1, params) / grid.cell_area
-
-    pot = _TableauFFT(_displacement_tableau(grid, params, w_self), ny, nx)
-
-    img = None
+    lat = _Lattice(ny, nx)
+    pot, *vel = (lat.hat(t) for t in _tableaus(grid, params, image=False))
+    sp = {"lattice": lat, "pot": pot, "vel": tuple(vel)}
     if grid.x1min >= -1e-12 * grid.h1:
-        img_pot = _image_transform(grid, s, params.s - 1.0)
-        rad_img, sx = _image_tableau(grid, params, params.s - 2.0)
-        rad_img = rad_img * (2.0 * params.s - 2.0)
-        dj = np.arange(-(ny - 1), ny) * grid.h2
-        # The x1-flipped source v[:, ::-1] of a real v with spectrum M has
-        # spectrum phase * conj(M[-k2, k1]); fold the phase into the image
-        # tableaus so the fused potential and the velocity need no second
-        # forward transform.
-        py, px = pot.py, pot.px
-        k1 = np.arange(px // 2 + 1)
-        phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % px) / px)
-        img = {
-            "pot": img_pot,
-            "pot_hat": img_pot.hat * phase,
-            "vel_hat": tuple(_TableauFFT(t, ny, nx).hat * phase
-                             for t in (rad_img * dj[:, None],
-                                       -rad_img * sx[None, :])),
-            "rev": -np.arange(py) % py,
-        }
+        k1 = np.arange(lat.px // 2 + 1)
+        phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % lat.px) / lat.px)
+        pot, *vel = (lat.hat(t) * phase
+                     for t in _tableaus(grid, params, image=True))
+        sp.update(img_pot=pot, img_vel=tuple(vel),
+                  rev=-np.arange(lat.py) % lat.py)
+    return sp
 
-    di = np.arange(-(nx - 1), nx) * grid.h1
-    dj = np.arange(-(ny - 1), ny) * grid.h2
-    R2 = dj[:, None] ** 2 + di[None, :] ** 2
-    ctr = (ny - 1, nx - 1)
-    R2[ctr] = 1.0
-    rad = params.c_s * (2.0 * params.s - 2.0) * R2 ** (params.s - 2.0)
-    rad[ctr] = 0.0
-    vel = (_TableauFFT(rad * dj[:, None], ny, nx),
-           _TableauFFT(-rad * di[None, :], ny, nx))
-    return {"pot": pot, "vel": vel, "img": img}
+
+def _grid_spectra(grid, s, halfplane_op=None):
+    """_spectra of a grid; halfplane_op names an operator with image terms,
+    which needs the grid in {x1 >= 0}."""
+    if halfplane_op and grid.x1min < -1e-12 * grid.h1:
+        raise DomainError(f"{halfplane_op} needs a grid in {{x1 >= 0}}")
+    return _spectra(grid.nx, grid.ny, grid.h1, grid.h2, grid.x1min, s)
 
 
 def potential_free_grid(field: Field2D, params: KernelParams) -> np.ndarray:
@@ -263,30 +232,20 @@ def potential_free_grid(field: Field2D, params: KernelParams) -> np.ndarray:
 
     Computes exactly the midpoint sum of `direct_sum` via FFT convolution
     (deterministic, identical up to roundoff)."""
-    tf = _grid_transforms(field.grid, params.s)
-    return tf["pot"].apply(field.values * field.grid.cell_area)
-
-
-def potential_image_grid(field: Field2D, params: KernelParams) -> np.ndarray:
-    """Image potential int c_s |x - ybar|^(2s-2) field(y) dy at cell centers."""
-    g = field.grid
-    if g.x1min < -1e-12 * g.h1:
-        raise DomainError("image potential needs a grid in {x1 >= 0}")
-    tf = _grid_transforms(g, params.s)
-    return tf["img"]["pot"].apply(field.values[:, ::-1] * g.cell_area)
+    sp = _grid_spectra(field.grid, params.s)
+    lat = sp["lattice"]
+    return lat.inverse(lat.forward(field.values * field.grid.cell_area)
+                       * sp["pot"])
 
 
 def potential_halfplane_grid(field: Field2D, params: KernelParams) -> np.ndarray:
     """Half-plane potential (free minus image) at cell centers.  One forward
-    transform of the source feeds both terms, so it equals
-    potential_free_grid - potential_image_grid up to roundoff."""
+    transform of the source feeds both terms."""
     g = field.grid
-    if g.x1min < -1e-12 * g.h1:
-        raise DomainError("half-plane potential needs a grid in {x1 >= 0}")
-    tf = _grid_transforms(g, params.s)
-    pot, img = tf["pot"], tf["img"]
-    M = pot.forward(field.values * g.cell_area)
-    return pot.inverse(pot.hat * M - img["pot_hat"] * np.conj(M[img["rev"]]))
+    sp = _grid_spectra(g, params.s, "half-plane potential")
+    lat = sp["lattice"]
+    M = lat.forward(field.values * g.cell_area)
+    return lat.inverse(sp["pot"] * M - sp["img_pot"] * np.conj(M[sp["rev"]]))
 
 
 def velocity_pair_grid(field: Field2D, params: KernelParams):
@@ -294,11 +253,9 @@ def velocity_pair_grid(field: Field2D, params: KernelParams):
     half-plane field (field minus its reflection).  One forward transform of
     the source feeds both the free and the image terms."""
     g = field.grid
-    if g.x1min < -1e-12 * g.h1:
-        raise DomainError("pair velocity needs a grid in {x1 >= 0}")
-    tf = _grid_transforms(g, params.s)
-    free, img = tf["vel"], tf["img"]
-    M = free[0].forward(field.values * g.cell_area)
-    Mr = np.conj(M[img["rev"]])
-    return tuple(free[k].inverse(free[k].hat * M - img["vel_hat"][k] * Mr)
+    sp = _grid_spectra(g, params.s, "pair velocity")
+    lat = sp["lattice"]
+    M = lat.forward(field.values * g.cell_area)
+    Mr = np.conj(M[sp["rev"]])
+    return tuple(lat.inverse(sp["vel"][k] * M - sp["img_vel"][k] * Mr)
                  for k in (0, 1))

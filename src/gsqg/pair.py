@@ -37,8 +37,7 @@ from .kernels import (
     KernelParams,
     potential_free_grid,
     potential_halfplane_grid,
-    potential_image_grid,
-    _image_transform,
+    velocity_pair_grid,
 )
 from .limiting import (
     LimitingSolution,
@@ -192,18 +191,15 @@ def _energy_parts(vals, psi_free, psi_img, x1row, a, problem):
 
 
 def _location_sides(field: Field2D, problem: PairProblem):
-    """Two sides of the x1-translation stationarity identity:
-    lhs = 2(1-s) c_s int int w(x)(x1+y1) w(y) |x-ybar|^(2s-4),  rhs = speed*kappa."""
-    params = problem.params
-    g = field.grid
-    x1 = g.x1_centers()[None, :]
-    phi = _image_weighted_potential(field, params, params.s - 2.0)
-    phi_w = _image_weighted_potential(
-        field, params, params.s - 2.0,
-        weights=np.broadcast_to(x1, field.values.shape))
-    a = g.cell_area
-    double_sum = float(np.sum(field.values * (x1 * phi + phi_w))) * a
-    return 2.0 * (1.0 - problem.s) * double_sum, problem.speed * problem.kappa
+    """Two sides of the x1-translation stationarity identity: the vortex's
+    mean image-induced drift lhs = -int w u2 and rhs = speed * kappa.
+
+    The image share of u2 is 2(1-s) c_s (x1+y1) |x-ybar|^(2s-4) against w(y),
+    and the free share integrates to zero against w (odd kernel), so
+    lhs = 2(1-s) c_s int int w(x)(x1+y1) w(y) |x-ybar|^(2s-4)."""
+    u2 = velocity_pair_grid(field, problem.params)[1]
+    lhs = -float(np.sum(field.values * u2)) * field.grid.cell_area
+    return lhs, problem.speed * problem.kappa
 
 
 def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
@@ -303,17 +299,18 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     """Derived quantities and the residual battery of a converged field: the
     tail of solve_pair, and the reload of a saved field (no iteration; mu
     comes from one cold-started multiplier solve, so a reload reproduces
-    the solver's mu bitwise).  The free and image potentials are computed
-    apart because the solution stores both."""
+    the solver's mu bitwise).  psi is the half-plane potential the solver
+    iterates on; the image potential is the free potential minus psi."""
     params, profile = problem.params, problem.profile
     grid = field.grid
     a = grid.cell_area
     x1row = grid.x1_centers()
     X1, X2 = grid.centers()
     mask = ball_mask(grid, problem)
+    psi = potential_halfplane_grid(field, params)
     psi_free = potential_free_grid(field, params)
-    psi_img = potential_image_grid(field, params)
-    psi_eff = (psi_free - psi_img - problem.speed * X1).ravel()[mask.ravel()]
+    psi_img = psi_free - psi
+    psi_eff = (psi - problem.speed * X1).ravel()[mask.ravel()]
     mu, f_sub = solve_multiplier(psi_eff, np.full(int(mask.sum()), a),
                                  profile, problem.kappa)
     f_new = np.zeros(grid.ny * grid.nx)
@@ -353,14 +350,6 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
 
 # ---------------------------------------------------------------------------
 # identity battery
-
-
-def _image_weighted_potential(field: Field2D, params, exponent, weights=None):
-    """sum_y c_s |x - ybar|^(2*exponent) w(y) m(y) at every cell center."""
-    g = field.grid
-    v = field.values if weights is None else field.values * weights
-    return _image_transform(g, params.s, exponent).apply(
-        v[:, ::-1] * g.cell_area)
 
 
 def location_residual(sol: PairSolution):

@@ -6,9 +6,9 @@ import pytest
 from gsqg.errors import ConvergenceError, DomainError, ParameterError
 from gsqg.evolution import (
     EvolutionConfig,
+    _recenter,
     advect_step,
     evolve,
-    interpolate_at,
     perturb,
     stability_experiment,
     support_touches_wall,
@@ -228,10 +228,12 @@ class TestAdvection:
         assert np.all(out.values[:, 5:] == 0.0)
         assert lost == 0.0
 
-    def test_interpolate_at_outside_is_zero(self):
+    def test_recenter_zero_field_stays_put(self):
+        # a zero field has no center of mass: the window does not move
         f = blob_field(n=32)
-        vals = interpolate_at(f, np.array([0.0, 5.0]), np.array([0.0, 0.0]))
-        assert vals[0] == 0.0 and vals[1] == 0.0
+        zero = Field2D(f.grid, np.zeros_like(f.values), nonneg=True)
+        out, shift = _recenter(zero)
+        assert out is zero and shift == (0, 0)
 
 
 class TestEvolve:

@@ -81,25 +81,24 @@ class TestEnergy:
 
 
 class TestLocationSides:
-    def test_image_weighted_potential_matches_direct_sum(self):
-        # the tableau FFT behind the location identity, against the sum
-        # sum_y c_s |x - ybar|^(2s-4) w(y) m(y) written out per target
-        from gsqg.pair import _image_weighted_potential
+    def test_lhs_matches_image_double_sum(self):
+        # -int w u2 from the pair velocity against the image double sum
+        # 2(1-s) c_s sum_x sum_y w(x)(x1+y1) w(y) |x-ybar|^(2s-4) a^2
+        from gsqg.pair import _location_sides
 
         rng = np.random.default_rng(4)
         pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
         g = pair_grid(pb, 16, support_estimate=0.12)
         f = Field2D(g, rng.random((g.ny, g.nx)), nonneg=True)
         X1, X2 = g.centers()
-        wts = X1 + 0.5
-        m = (f.values * wts).ravel() * g.cell_area
-        c_s, s = pb.params.c_s, pb.s
-        direct = np.array([
-            np.sum(c_s * ((x1 + X1.ravel()) ** 2 + (x2 - X2.ravel()) ** 2)
-                   ** (s - 2.0) * m)
-            for x1, x2 in zip(X1.ravel(), X2.ravel())]).reshape(X1.shape)
-        got = _image_weighted_potential(f, pb.params, s - 2.0, weights=wts)
-        np.testing.assert_allclose(got, direct, rtol=1e-11)
+        x1, x2, w = X1.ravel(), X2.ravel(), f.values.ravel()
+        c_s, s, a = pb.params.c_s, pb.s, g.cell_area
+        double_sum = sum(
+            np.sum(w[k] * (x1[k] + x1) * w
+                   * ((x1[k] + x1) ** 2 + (x2[k] - x2) ** 2) ** (s - 2.0))
+            for k in range(w.size))
+        expect = 2.0 * (1.0 - s) * c_s * double_sum * a * a
+        assert _location_sides(f, pb)[0] == pytest.approx(expect, rel=1e-11)
 
 
 class TestSolvePair:
@@ -208,6 +207,22 @@ class TestSolvePair:
             "fixed_point", "location", "multiplier", "steiner_asymmetry",
             "weak_form_max", "s_eps_sup"}
         assert rebuilt.residuals["fixed_point"] <= 1.5e-6
+
+    def test_rebuild_image_potential_matches_direct_sum(self):
+        # psi_image = free minus half-plane potential, against the oracle
+        from gsqg.kernels import direct_sum
+
+        rng = np.random.default_rng(6)
+        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        g = pair_grid(pb, 16, support_estimate=0.12)
+        vals = rng.random((g.ny, g.nx)) * ball_mask(g, pb)
+        f = Field2D(g, vals / (np.sum(vals) * g.cell_area), nonneg=True)
+        X1, X2 = g.centers()
+        tg = np.column_stack([X1.ravel(), X2.ravel()])
+        direct = (direct_sum(f, tg, pb.params)
+                  - direct_sum(f, tg, pb.params, halfplane=True))
+        np.testing.assert_allclose(rebuild_solution(pb, f).psi_image,
+                                   direct.reshape(g.ny, g.nx), rtol=1e-10)
 
 
 class TestAsymptotics:
