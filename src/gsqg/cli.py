@@ -136,14 +136,27 @@ def _eps_list(cfg):
 
 
 class RunDir:
-    """Output directory with a manifest written atomically at the end."""
+    """Output directory with a manifest written atomically at the end.
 
-    def __init__(self, path, config):
+    With extend, a manifest already in the directory is kept: its files,
+    stages and config values (the solved state's, which later stages read
+    back) stay, and this run adds its own.  The solve commands start a
+    fresh manifest; the commands that read a run extend it.
+    """
+
+    def __init__(self, path, config, extend=False):
         self.path = path
         self.config = dict(config)
         self.files = []
         self.stages = {}
         self.t0 = time.time()
+        previous = os.path.join(path, "manifest.json")
+        if extend and os.path.exists(previous):
+            with open(previous) as fh:
+                manifest = json.load(fh)
+            self.config.update(manifest["config"])
+            self.files = list(manifest["files"])
+            self.stages = dict(manifest.get("stages", {}))
         os.makedirs(path, exist_ok=True)
 
     def _write_atomic(self, name, text):
@@ -173,7 +186,7 @@ class RunDir:
             "version": __version__,
             "wall_time_s": time.time() - self.t0,
             "stages": self.stages,
-            "files": sorted(self.files),
+            "files": sorted(set(self.files)),
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         self._write_atomic("manifest.json", text)
@@ -310,7 +323,7 @@ def cmd_verify(cfg):
         "steiner": cfg.get("tol_steiner", 1e-10),
         "bracket": cfg.get("tol_bracket", 1e-3),
     }
-    run = RunDir(cfg.get("out", run_dir), cfg)
+    run = RunDir(cfg.get("out", run_dir), cfg, extend=True)
     table = []
     worst_fail = None
     for problem, field, rep in pairs:
@@ -376,7 +389,7 @@ def cmd_evolve(cfg):
         sys.stderr.write(f"no solved pair fields found in {cfg['run']}\n")
         return EXIT_USAGE
     problem, field, rep = pairs[0]
-    run = RunDir(cfg.get("out", cfg["run"]), cfg)
+    run = RunDir(cfg.get("out", cfg["run"]), cfg, extend=True)
     supp_diam = 2.0 * rep["support_radius"]
     T = cfg.get("T", supp_diam / problem.speed)
     config = EvolutionConfig(
@@ -431,7 +444,7 @@ def cmd_rearrange(cfg):
         sys.stderr.write(f"no solved pair fields found in {cfg['run']}\n")
         return EXIT_USAGE
     problem, field, rep = pairs[0]
-    run = RunDir(cfg.get("out", cfg["run"]), cfg)
+    run = RunDir(cfg.get("out", cfg["run"]), cfg, extend=True)
     result = rearrangement_shift_experiment(
         field, problem, cells=cfg.get("shift_cells", 5))
     result.pop("energy_trace")
@@ -453,7 +466,7 @@ def cmd_report(cfg):
         if os.path.exists(path):
             with open(path) as fh:
                 summary["stages"][stage] = json.load(fh)
-    run = RunDir(cfg.get("out", run_dir), cfg)
+    run = RunDir(cfg.get("out", run_dir), cfg, extend=True)
     run.write_json("summary.json", summary)
     rows = ["stage,key,value"]
     for stage, rep in summary["stages"].items():
@@ -497,8 +510,10 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:
-        from .errors import ConvergenceError, DomainTooSmallError, GsqgError
-        if isinstance(exc, (ConvergenceError, DomainTooSmallError)):
+        from .errors import (BracketError, ConvergenceError,
+                             DomainTooSmallError, GsqgError)
+        if isinstance(exc, (BracketError, ConvergenceError,
+                            DomainTooSmallError)):
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_NOCONV
         if isinstance(exc, GsqgError):

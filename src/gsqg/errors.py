@@ -26,7 +26,8 @@ class DegenerateConstantError(GsqgError, ValueError):
 
 
 class BracketError(GsqgError, RuntimeError):
-    """Multiplier bisection could not bracket the mass constraint."""
+    """The safeguarded Newton multiplier solve found no multiplier whose
+    mass exceeds kappa, so the mass constraint has no bracket."""
 
 
 class ConvergenceError(GsqgError, RuntimeError):

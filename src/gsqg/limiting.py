@@ -45,6 +45,10 @@ from .profiles import PowerProfile, compute_struct_constants
 # ---------------------------------------------------------------------------
 # radial kernel matrix
 
+# elements (targets x edges x angles) per block of ring_potential_matrix: the
+# temporaries stay in cache instead of costing tens of MB at nr = 256
+_RING_BLOCK = 1 << 16
+
 
 def _gauss_legendre(n, a, b):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -58,32 +62,40 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
     Per angle alpha the admissible ray segment is the root interval of two
     quadratics (intersection with the annulus circles); the radial integral
     of c_s t^(2s-2) * t dt over a segment [a, b] is c_s (b^(2s)-a^(2s))/(2s).
+    The segment term of each ray is evaluated once per distinct edge radius
+    (neighbouring annuli share one where their edges agree to the bit) and
+    differenced by index, in row blocks of about `_RING_BLOCK` elements;
+    powers are taken only where the ray crosses the edge circle and the
+    base is positive (0^(2s) is +0).  The angular sum runs over the same
+    contiguous layout as the plain broadcast over all (target, annulus,
+    angle) triples, so M is bitwise the same.
     """
     r_targets = np.asarray(r_targets, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
-    s = params.s
+    two_s = 2.0 * params.s
     ang, w_ang = _gauss_legendre(n_angles, 0.0, math.pi)
     sin_a, cos_a = np.sin(ang), np.cos(ang)
-    R2o = r_nodes + 0.5 * dr
-    R1o = np.clip(r_nodes - 0.5 * dr, 0.0, None)
+    edges, index = np.unique(np.concatenate(
+        [r_nodes + 0.5 * dr, np.clip(r_nodes - 0.5 * dr, 0.0, None)]),
+        return_inverse=True)
+    outer, inner = index[:r_nodes.size], index[r_nodes.size:]
+    e2 = (edges ** 2)[None, :, None]
     M = np.empty((r_targets.size, r_nodes.size))
-    two_s = 2.0 * s
-    chunk = max(1, int(4e6 // (r_nodes.size * n_angles)))
-    for i0 in range(0, r_targets.size, chunk):
-        r = r_targets[i0:i0 + chunk][:, None, None]        # (c,1,1)
-        b = r * cos_a[None, None, :]                       # (c,1,na)
-        rs2 = (r * sin_a[None, None, :]) ** 2
-
-        def seg(R):
-            g = R[None, :, None] ** 2 - rs2
-            sq = np.sqrt(np.clip(g, 0.0, None))
-            tp = np.clip(-b + sq, 0.0, None)
-            tm = np.clip(-b - sq, 0.0, None)
-            return np.where(g > 0.0, tp ** two_s - tm ** two_s, 0.0)
-
-        val = seg(R2o) - seg(R1o)
-        M[i0:i0 + chunk] = 2.0 * (params.c_s / two_s) * np.sum(
-            val * w_ang[None, None, :], axis=2)
+    rows = max(1, _RING_BLOCK // (edges.size * n_angles))
+    for i0 in range(0, r_targets.size, rows):
+        r = r_targets[i0:i0 + rows][:, None, None]         # (c,1,1)
+        nb = -(r * cos_a)                                   # (c,1,na)
+        g = e2 - (r * sin_a) ** 2                           # (c,ne,na)
+        sq = np.sqrt(np.maximum(g, 0.0))
+        tp, tm = nb + sq, nb - sq                           # tm <= tp
+        seg = np.zeros(g.shape)
+        far = (g > 0.0) & (tp > 0.0)
+        seg[far] = tp[far] ** two_s
+        near = far & (tm > 0.0)
+        seg[near] -= tm[near] ** two_s
+        val = seg[:, outer] - seg[:, inner]                 # (c,nr,na)
+        M[i0:i0 + rows] = 2.0 * (params.c_s / two_s) * np.sum(
+            val * w_ang, axis=2)
     return M
 
 

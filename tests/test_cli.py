@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestUsage:
         assert (got["threads"], got["seed"]) == (3, 0)
         got = _merge(_build_parser().parse_args(["solve-limiting"]))
         assert (got["threads"], got["seed"]) == (1, 0)
+
+    def test_bracket_error_exits_nonconverged(self, tmp_path, monkeypatch,
+                                              capsys):
+        import gsqg.limiting
+        from gsqg.errors import BracketError
+
+        def fail(*args, **kwargs):
+            raise BracketError("multiplier bracket exhausted")
+
+        monkeypatch.setattr(gsqg.limiting, "solve_limiting", fail)
+        code = run(["solve-limiting", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                    "--out", tmp_path / "o"])
+        assert code == 2
+        assert "bracket" in capsys.readouterr().err
 
 
 class TestSolveLimiting:
@@ -250,6 +265,23 @@ class TestEvolveCmd:
         for name in ("evolve.json", "stability.csv"):
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes())
+
+
+class TestRunChain:
+    def test_verify_then_evolve_in_place(self, pair_run, tmp_path):
+        # README's solve-pair -> verify -> evolve on one run directory
+        out = tmp_path / "chain"
+        shutil.copytree(pair_run, out)
+        assert run(["verify", "--run", out, "--tol-fixed-point", "1e-4"]) == 0
+        assert run(["evolve", "--run", out, "--T", "0.01"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for f in ("limiting.json", "pair_eps0p2.json", "omega_eps0p2.field",
+                  "verify.csv", "verify.json", "trajectory.csv",
+                  "evolve.json"):
+            assert f in manifest["files"]
+        assert set(manifest["stages"]) == {"limiting", "pair_eps0p2",
+                                           "verify", "evolve"}
+        assert manifest["config"]["L"] == REGIME_L
 
 
 class TestRearrangeCmd:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gsqg.fields import Field2D, Grid2D, RadialField, lp_norm
 from gsqg.kernels import KernelParams, potential_free_grid
 from gsqg.limiting import (
     LimitingSolution,
+    _gauss_legendre,
     _initial_patch,
     constrained_ascent,
     energy_E0,
@@ -30,6 +32,32 @@ from gsqg.limiting import (
     virial_residual,
 )
 from gsqg.profiles import PowerProfile
+
+
+def _ring_matrix_broadcast(r_targets, r_nodes, dr, params, n_angles):
+    """Reference: the plain broadcast over (target, annulus, angle), with
+    the segment term taken separately at the outer and inner radii."""
+    r_targets = np.asarray(r_targets, dtype=float)
+    r_nodes = np.asarray(r_nodes, dtype=float)
+    ang, w_ang = _gauss_legendre(n_angles, 0.0, math.pi)
+    sin_a, cos_a = np.sin(ang), np.cos(ang)
+    R2o = r_nodes + 0.5 * dr
+    R1o = np.clip(r_nodes - 0.5 * dr, 0.0, None)
+    two_s = 2.0 * params.s
+    r = r_targets[:, None, None]
+    b = r * cos_a[None, None, :]
+    rs2 = (r * sin_a[None, None, :]) ** 2
+
+    def seg(R):
+        g = R[None, :, None] ** 2 - rs2
+        sq = np.sqrt(np.clip(g, 0.0, None))
+        tp = np.clip(-b + sq, 0.0, None)
+        tm = np.clip(-b - sq, 0.0, None)
+        return np.where(g > 0.0, tp ** two_s - tm ** two_s, 0.0)
+
+    val = seg(R2o) - seg(R1o)
+    return 2.0 * (params.c_s / two_s) * np.sum(val * w_ang[None, None, :],
+                                               axis=2)
 
 
 class TestRingMatrix:
@@ -78,6 +106,43 @@ class TestRingMatrix:
         expect = params.c_s * 2 * math.pi * (1.25 ** (2 * s) - 0.75 ** (2 * s)) \
             / (2 * s)
         assert M[0, 0] == pytest.approx(expect, rel=1e-10)
+
+    # the blocked per-edge evaluation must reproduce the broadcast bitwise;
+    # s = 0.5 takes numpy's 2s = 1 power fast path
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("nr,n_angles", [(48, 48), (96, 64), (256, 64)])
+    def test_matches_broadcast(self, s, nr, n_angles):
+        params = KernelParams.from_order(s)
+        rmax = 2.5
+        dr = rmax / nr
+        r = (np.arange(nr) + 0.5) * dr
+        off = np.concatenate([[0.0], np.linspace(0.0, 1.2 * rmax, 29),
+                              r[::7] * (1 + 1e-3)])
+        for targets in (r, off):
+            np.testing.assert_array_equal(
+                ring_potential_matrix(targets, r, dr, params, n_angles),
+                _ring_matrix_broadcast(targets, r, dr, params, n_angles))
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_single_node_at_origin(self, s):
+        params = KernelParams.from_order(s)
+        args = (np.array([0.0]), np.array([1.0]), 0.5, params, 64)
+        np.testing.assert_array_equal(ring_potential_matrix(*args),
+                                      _ring_matrix_broadcast(*args))
+
+    def test_peak_memory(self):
+        # the broadcast at nr=256, n_angles=64 peaks near 220 MB
+        params = KernelParams.from_order(0.3)
+        nr = 256
+        dr = 3.0 / nr
+        r = (np.arange(nr) + 0.5) * dr
+        tracemalloc.start()
+        try:
+            ring_potential_matrix(r, r, dr, params, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestEnergyScaling:
