@@ -22,7 +22,7 @@ _CONFIG_KEYS = {
     "eps": str, "n": int, "nr": int, "n_angles": int,
     "tol": float, "max_iter": int, "damping": float, "sym_every": int,
     "window_factor": float, "allow_active": int,
-    "dt": float, "T": float, "cfl": float, "interp": str,
+    "dt": float, "T": float, "cfl": float,
     "diag_every": int, "snapshot_every": int, "perturb": str,
     "shift_cells": int,
     "seed": int, "threads": int, "out": str, "run": str,
@@ -42,6 +42,12 @@ def _build_parser():
     ap = _Parser(prog="gsqg", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def typed(p, keys):
+        """One flag per config key, of its type: --max-iter sets max_iter."""
+        for k in keys:
+            p.add_argument("--" + k.replace("_", "-"), dest=k,
+                           type=_CONFIG_KEYS[k])
+
     def common(p, model=True):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
@@ -53,20 +59,10 @@ def _build_parser():
                        help="worker threads for the FFTs and the BLAS "
                             "(default 1)")
         if model:
-            p.add_argument("--s", type=float)
-            p.add_argument("--p", type=float)
-            p.add_argument("--kappa", type=float)
-            p.add_argument("--W", type=float)
-            p.add_argument("--L", type=float)
             p.add_argument("--eps", help="comma-separated list")
-            p.add_argument("--n", type=int)
-            p.add_argument("--nr", type=int)
-            p.add_argument("--n-angles", dest="n_angles", type=int)
-            p.add_argument("--tol", type=float)
-            p.add_argument("--max-iter", dest="max_iter", type=int)
-            p.add_argument("--damping", type=float)
-            p.add_argument("--sym-every", dest="sym_every", type=int)
-            p.add_argument("--window-factor", dest="window_factor", type=float)
+            typed(p, ("s", "p", "kappa", "W", "L", "n", "nr", "n_angles",
+                      "tol", "max_iter", "damping", "sym_every",
+                      "window_factor"))
             p.add_argument("--allow-active", dest="allow_active",
                            action="store_const", const=1)
 
@@ -76,25 +72,24 @@ def _build_parser():
     common(p)
     p = sub.add_parser("verify", help="identity battery on a solved run")
     common(p)
-    for k in ("tol_location", "tol_multiplier", "tol_weak_form",
-              "tol_steiner", "tol_fixed_point", "tol_bracket"):
-        p.add_argument("--" + k.replace("_", "-"), dest=k, type=float)
+    typed(p, ("tol_location", "tol_multiplier", "tol_weak_form",
+              "tol_steiner", "tol_fixed_point", "tol_bracket"))
     p = sub.add_parser("evolve", help="transport evolution of a solved pair")
     common(p)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--interp", choices=("bicubic", "bilinear"))
-    p.add_argument("--diag-every", dest="diag_every", type=int)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
+    typed(p, ("dt", "T", "cfl", "diag_every", "snapshot_every"))
     p.add_argument("--perturb", action="append",
                    help="kind[:amplitude[:seed]]; repeatable")
     p = sub.add_parser("rearrange", help="rearrangement-class ascent")
     common(p)
-    p.add_argument("--shift-cells", dest="shift_cells", type=int)
+    typed(p, ("shift_cells",))
     p = sub.add_parser("report", help="aggregate a run directory")
     common(p, model=False)
     return ap
+
+
+def _read_json(*path):
+    with open(os.path.join(*path)) as fh:
+        return json.load(fh)
 
 
 def _load_config(path):
@@ -138,25 +133,31 @@ def _eps_list(cfg):
 class RunDir:
     """Output directory with a manifest written atomically at the end.
 
-    With extend, a manifest already in the directory is kept: its files,
-    stages and config values (the solved state's, which later stages read
-    back) stay, and this run adds its own.  The solve commands start a
-    fresh manifest; the commands that read a run extend it.
+    The manifest holds only deterministic content.  The wall time of each
+    command run into the directory goes to timings.json, which the manifest
+    lists.  With extend, a manifest already in the directory is kept: its
+    files, stages and config values (the solved state's, which later stages
+    read back) stay, and this run adds its own; timings.json keeps the
+    earlier commands' times the same way.  The solve commands start afresh;
+    the commands that read a run extend it.
     """
 
-    def __init__(self, path, config, extend=False):
+    def __init__(self, path, config, command, extend=False):
         self.path = path
+        self.command = command
         self.config = dict(config)
         self.files = []
         self.stages = {}
-        self.t0 = time.time()
-        previous = os.path.join(path, "manifest.json")
-        if extend and os.path.exists(previous):
-            with open(previous) as fh:
-                manifest = json.load(fh)
+        self.wall_time_s = {}
+        self.t0 = time.perf_counter()
+        if extend and os.path.exists(os.path.join(path, "manifest.json")):
+            manifest = _read_json(path, "manifest.json")
             self.config.update(manifest["config"])
             self.files = list(manifest["files"])
             self.stages = dict(manifest.get("stages", {}))
+            if os.path.exists(os.path.join(path, "timings.json")):
+                self.wall_time_s = _read_json(path,
+                                              "timings.json")["wall_time_s"]
         os.makedirs(path, exist_ok=True)
 
     def _write_atomic(self, name, text):
@@ -181,10 +182,11 @@ class RunDir:
 
     def finish(self):
         from . import __version__
+        self.wall_time_s[self.command] = time.perf_counter() - self.t0
+        self.write_json("timings.json", {"wall_time_s": self.wall_time_s})
         manifest = {
             "config": {k: self.config[k] for k in sorted(self.config)},
             "version": __version__,
-            "wall_time_s": time.time() - self.t0,
             "stages": self.stages,
             "files": sorted(set(self.files)),
         }
@@ -227,7 +229,7 @@ def _solve_limiting(cfg):
 def cmd_solve_limiting(cfg):
     _require(cfg, ["s", "p", "kappa", "out"])
     _validate_profile(cfg)
-    run = RunDir(cfg["out"], cfg)
+    run = RunDir(cfg["out"], cfg, "solve-limiting")
     sol = _solve_limiting(cfg)
     run.write_json("limiting.json", sol.report())
     r = sol.omega0.radii()
@@ -244,7 +246,7 @@ def cmd_solve_pair(cfg):
     from .pair import ConstraintActiveError, PairProblem, solve_pair
     _require(cfg, ["s", "p", "kappa", "W", "out"])
     _validate_profile(cfg)
-    run = RunDir(cfg["out"], cfg)
+    run = RunDir(cfg["out"], cfg, "solve-pair")
     lim = _solve_limiting(cfg)
     run.write_json("limiting.json", lim.report())
     run.stages["limiting"] = "limiting.json"
@@ -282,17 +284,16 @@ def cmd_solve_pair(cfg):
 
 
 def _load_pair_runs(run_dir):
-    """Load every solved pair (problem, field) recorded in a run directory."""
+    """Every solved pair (problem, field, report) recorded in a run
+    directory; ValueError when there is none."""
     from .fields import read_field
     from .pair import PairProblem
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(run_dir, "manifest.json")
     cfg = manifest["config"]
     out = []
     for name in manifest["files"]:
         if name.startswith("pair_eps") and name.endswith(".json"):
-            with open(os.path.join(run_dir, name)) as fh:
-                rep = json.load(fh)
+            rep = _read_json(run_dir, name)
             tag = name[len("pair_eps"):-len(".json")]
             field_name = f"omega_eps{tag}.field"
             if field_name not in manifest["files"]:
@@ -302,19 +303,17 @@ def _load_pair_runs(run_dir):
             problem = PairProblem(s=rep["s"], p=rep["p"], kappa=rep["kappa"],
                                   W=rep["W"], eps=rep["eps"], L=cfg.get("L"))
             out.append((problem, field, rep))
-    return manifest, out
+    if not out:
+        raise ValueError(f"no solved pair fields found in {run_dir}")
+    return out
 
 
 def cmd_verify(cfg):
     from .pair import rebuild_solution
     _require(cfg, ["run"])
     run_dir = cfg["run"]
-    manifest, pairs = _load_pair_runs(run_dir)
-    if not pairs:
-        sys.stderr.write(f"no solved pair fields found in {run_dir}\n")
-        return EXIT_USAGE
-    with open(os.path.join(run_dir, "limiting.json")) as fh:
-        lim_rep = json.load(fh)
+    pairs = _load_pair_runs(run_dir)
+    lim_rep = _read_json(run_dir, "limiting.json")
     tols = {
         "fixed_point": cfg.get("tol_fixed_point", 1e-6),
         "location": cfg.get("tol_location", 0.05),
@@ -323,7 +322,7 @@ def cmd_verify(cfg):
         "steiner": cfg.get("tol_steiner", 1e-10),
         "bracket": cfg.get("tol_bracket", 1e-3),
     }
-    run = RunDir(cfg.get("out", run_dir), cfg, extend=True)
+    run = RunDir(cfg.get("out", run_dir), cfg, "verify", extend=True)
     table = []
     worst_fail = None
     for problem, field, rep in pairs:
@@ -381,31 +380,25 @@ def _parse_perturb(specs, seed):
 
 
 def cmd_evolve(cfg):
-    from .evolution import EvolutionConfig, evolve, stability_experiment
+    from .evolution import (TRAJECTORY_COLUMNS, EvolutionConfig, evolve,
+                            stability_experiment)
     from .fields import write_field
     _require(cfg, ["run"])
-    manifest, pairs = _load_pair_runs(cfg["run"])
-    if not pairs:
-        sys.stderr.write(f"no solved pair fields found in {cfg['run']}\n")
-        return EXIT_USAGE
-    problem, field, rep = pairs[0]
-    run = RunDir(cfg.get("out", cfg["run"]), cfg, extend=True)
+    problem, field, rep = _load_pair_runs(cfg["run"])[0]
     supp_diam = 2.0 * rep["support_radius"]
     T = cfg.get("T", supp_diam / problem.speed)
     config = EvolutionConfig(
         dt=cfg.get("dt"), T=T, cfl=cfg.get("cfl", 0.4),
-        interp=cfg.get("interp", "bicubic"),
         diag_every=cfg.get("diag_every", 10),
         snapshot_every=cfg.get("snapshot_every", 0))
+    run = RunDir(cfg.get("out", cfg["run"]), cfg, "evolve", extend=True)
     perturbs = _parse_perturb(cfg.get("perturb"), cfg.get("seed", 0))
     if perturbs == [("none", 0.0, cfg.get("seed", 0))]:
         trajectory = evolve(field, problem.params, config, reference=field,
                             speed_hint=problem.speed)
-        lines = ["t,mass,impulse,energy,l1,l2,linf,orbital_distance,shift_c"]
+        lines = [",".join(TRAJECTORY_COLUMNS)]
         for row in trajectory.rows():
-            lines.append(",".join("%.17g" % row[k] for k in (
-                "t", "mass", "impulse", "energy", "l1", "l2", "linf",
-                "orbital_distance", "shift_c")))
+            lines.append(",".join("%.17g" % v for v in row.values()))
         run.write_text("trajectory.csv", "\n".join(lines) + "\n")
         for step, snap in trajectory.snapshots.items():
             name = f"snapshot_{step:06d}.field"
@@ -417,6 +410,12 @@ def cmd_evolve(cfg):
             "impulse_drift": trajectory.drift("impulse"),
             "energy_drift": trajectory.drift("energy"),
             "sup_orbital_distance": max(trajectory.orbital_distance),
+            "mass_0": trajectory.mass[0],
+            "mass_final": trajectory.mass[-1],
+            "outflow": trajectory.outflow,
+            "outflow_max_step": trajectory.outflow_max,
+            "scheme_error": trajectory.scheme_error(),
+            "wall_u1_max": max(trajectory.wall_u1_max),
             "flags": trajectory.flags,
         }
         run.write_json("evolve.json", summary)
@@ -439,12 +438,8 @@ def cmd_evolve(cfg):
 def cmd_rearrange(cfg):
     from .pair import rearrangement_shift_experiment
     _require(cfg, ["run"])
-    manifest, pairs = _load_pair_runs(cfg["run"])
-    if not pairs:
-        sys.stderr.write(f"no solved pair fields found in {cfg['run']}\n")
-        return EXIT_USAGE
-    problem, field, rep = pairs[0]
-    run = RunDir(cfg.get("out", cfg["run"]), cfg, extend=True)
+    problem, field, rep = _load_pair_runs(cfg["run"])[0]
+    run = RunDir(cfg.get("out", cfg["run"]), cfg, "rearrange", extend=True)
     result = rearrangement_shift_experiment(
         field, problem, cells=cfg.get("shift_cells", 5))
     result.pop("energy_trace")
@@ -457,16 +452,14 @@ def cmd_rearrange(cfg):
 def cmd_report(cfg):
     _require(cfg, ["run"])
     run_dir = cfg["run"]
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(run_dir, "manifest.json")
     summary = {"config": manifest["config"], "version": manifest["version"],
                "stages": {}}
     for stage, name in manifest.get("stages", {}).items():
         path = os.path.join(run_dir, name)
         if os.path.exists(path):
-            with open(path) as fh:
-                summary["stages"][stage] = json.load(fh)
-    run = RunDir(cfg.get("out", run_dir), cfg, extend=True)
+            summary["stages"][stage] = _read_json(path)
+    run = RunDir(cfg.get("out", run_dir), cfg, "report", extend=True)
     run.write_json("summary.json", summary)
     rows = ["stage,key,value"]
     for stage, rep in summary["stages"].items():
@@ -500,26 +493,17 @@ def main(argv=None):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(threads))
     import scipy.fft  # after the variables above, which numpy reads once
+    from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
+                         GsqgError)
     try:
         with scipy.fft.set_workers(threads):
             return _COMMANDS[args.command](cfg)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, GsqgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except Exception as exc:
-        from .errors import (BracketError, ConvergenceError,
-                             DomainTooSmallError, GsqgError)
         if isinstance(exc, (BracketError, ConvergenceError,
                             DomainTooSmallError)):
-            sys.stderr.write(f"error: {exc}\n")
             return EXIT_NOCONV
-        if isinstance(exc, GsqgError):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
-        raise
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

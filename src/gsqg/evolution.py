@@ -39,7 +39,12 @@ from .kernels import (
 )
 
 _RECENTER_CELLS = 10  # center drift, in cells, that shifts the window
+_MAX_DT_HALVINGS = 3  # CFL halvings allowed before evolve gives up
 _MASS_LOSS_TOL = 1e-3  # flag a step whose outflow exceeds this share of mass
+
+# trajectory.csv columns, in order; "t" reads TrajectoryReport.times
+TRAJECTORY_COLUMNS = ("t", "mass", "impulse", "energy", "l1", "l2", "linf",
+                      "orbital_distance", "shift_c")
 
 
 @dataclass
@@ -47,20 +52,20 @@ class EvolutionConfig:
     dt: float = None          # auto from the CFL bound when None
     T: float = 1.0
     cfl: float = 0.4
-    interp: str = "bicubic"   # or "bilinear"
     diag_every: int = 10
-    snapshot_steps: tuple = ()
-    snapshot_every: int = 0   # additionally snapshot every N steps
-    max_dt_halvings: int = 3
-    check_wall: bool = True
+    snapshot_every: int = 0   # snapshot every N steps; 0 for none
 
     def __post_init__(self):
         if self.T <= 0:
             raise ParameterError("horizon T must be positive")
         if self.dt is not None and (self.dt <= 0 or self.T < self.dt):
             raise ParameterError("need 0 < dt <= T")
-        if self.interp not in ("bicubic", "bilinear"):
-            raise ParameterError(f"unknown interpolation {self.interp!r}")
+        if not self.cfl > 0:
+            raise ParameterError(f"cfl={self.cfl} must be positive")
+        if self.diag_every < 1:
+            raise ParameterError(f"diag_every={self.diag_every} must be >= 1")
+        if self.snapshot_every < 0:
+            raise ParameterError("snapshot_every must be >= 0")
 
 
 @dataclass
@@ -77,16 +82,21 @@ class TrajectoryReport:
     wall_u1_max: list = dc_field(default_factory=list)
     snapshots: dict = dc_field(default_factory=dict)
     flags: list = dc_field(default_factory=list)
+    outflow: float = 0.0      # window outflow summed over the steps
+    outflow_max: float = 0.0  # largest window outflow of one step
     dt_used: float = None
     steps: int = 0
 
     def rows(self):
-        keys = ("times", "mass", "impulse", "energy", "l1", "l2", "linf",
-                "orbital_distance", "shift_c")
-        cols = [getattr(self, k) for k in keys]
-        return [dict(zip(("t", "mass", "impulse", "energy", "l1", "l2",
-                          "linf", "orbital_distance", "shift_c"), row))
-                for row in zip(*cols)]
+        """One dict per diagnosis, keyed by TRAJECTORY_COLUMNS."""
+        cols = [self.times] + [getattr(self, k)
+                               for k in TRAJECTORY_COLUMNS[1:]]
+        return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in zip(*cols)]
+
+    def scheme_error(self):
+        """Mass change not carried out through the window edges:
+        final mass minus (initial mass minus outflow)."""
+        return self.mass[-1] - (self.mass[0] - self.outflow)
 
     def drift(self, key):
         """Max relative drift of a conserved diagnostic over the run."""
@@ -118,21 +128,22 @@ def wall_normal_velocity(field: Field2D, params: KernelParams, n_points=None):
 
 
 def _bilinear_stencil(shape, fx, fy, ring=0):
-    """Flat corner index and weights of the bilinear stencils at fractional
-    indices into an array of `shape`, sampled from its copy padded by `ring`
-    cells on every side; one stencil serves every array sampled there.
+    """Flat corner index into the copy padded by `ring` cells, fractions and
+    floor indices i0, j0 of the bilinear stencils at fractional indices into
+    an array of `shape`; one stencil serves every array sampled there.
     Points beyond the padded array clamp to its edge value."""
     ny, nx = shape
     fxc = np.clip(fx, -ring, nx - 1.0 + ring)
     fyc = np.clip(fy, -ring, ny - 1.0 + ring)
     i0 = np.minimum(np.floor(fxc).astype(int), nx - 2 + ring)
     j0 = np.minimum(np.floor(fyc).astype(int), ny - 2 + ring)
-    return (j0 + ring) * (nx + 2 * ring) + i0 + ring, fxc - i0, fyc - j0
+    return ((j0 + ring) * (nx + 2 * ring) + i0 + ring, fxc - i0, fyc - j0,
+            i0, j0)
 
 
 def _sample_bilinear(arr, stencil, bounds=False):
     """Bilinear values on a stencil, plus the stencil range when bounds."""
-    k, tx, ty = stencil
+    k, tx, ty = stencil[:3]
     nx = arr.shape[1]
     flat = arr.ravel()
     v00 = np.take(flat, k)
@@ -157,30 +168,26 @@ def _cr_weights(t):
             -0.5 * t2 + 0.5 * t3)
 
 
-def _sample_bicubic(arr, fx, fy):
-    """Catmull-Rom in each axis on the 4x4 stencil; callers clamp.
-
+def _sample_bicubic(padded, stencil):
+    """Catmull-Rom in each axis on the 4x4 window around a ring-1 stencil
+    into `padded`, the array with one ring of zeros.  `usable` marks the
+    windows inside the unpadded array; callers discard the other values.
     The 16 gathers and products reuse buffers allocated once per call."""
-    ny, nx = arr.shape
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fy).astype(int)
-    usable = (i0 >= 1) & (i0 <= nx - 3) & (j0 >= 1) & (j0 <= ny - 3)
-    i0c = np.clip(i0, 1, nx - 3)
-    j0c = np.clip(j0, 1, ny - 3)
-    tx = fx - i0c
-    ty = fy - j0c
+    k, tx, ty, i0, j0 = stencil
+    ny, nx = padded.shape
+    usable = (i0 >= 1) & (i0 <= nx - 5) & (j0 >= 1) & (j0 <= ny - 5)
     wx = _cr_weights(tx)
     wy = _cr_weights(ty)
-    flat = arr.ravel()
-    corner = (j0c - 1) * nx + (i0c - 1)
-    val = np.empty_like(tx, dtype=float)
+    flat = padded.ravel()
+    corner = k - (nx + 1)  # window corner (i0 - 1, j0 - 1), padded
+    val = np.empty_like(tx)
     row = np.empty_like(val)
     out = np.zeros_like(val)
     for a in range(4):
         row.fill(0.0)
         for b in range(4):
-            # flat[off:][corner] = flat[corner + off], always in range, so
-            # "clip" never acts; it only spares take its buffered check
+            # flat[off:][corner] = flat[corner + off] on usable cells; "clip"
+            # keeps the discarded gathers of the other cells in bounds
             np.take(flat[a * nx + b:], corner, out=val, mode="clip")
             np.multiply(wx[b], val, out=val)
             np.add(row, val, out=row)
@@ -210,10 +217,13 @@ def window_outflow(field: Field2D, u1, u2, dt):
     strip when a step crosses more than one cell).  Inflow is zero."""
     g = field.grid
     q = field.values
-    swept = (_swept_out(q[:, ::-1], np.maximum(u1[:, -1], 0.0) * dt / g.h1)
-             + _swept_out(q, np.maximum(-u1[:, 0], 0.0) * dt / g.h1)
-             + _swept_out(q[::-1, :].T, np.maximum(u2[-1, :], 0.0) * dt / g.h2)
-             + _swept_out(q.T, np.maximum(-u2[0, :], 0.0) * dt / g.h2))
+    swept = np.zeros(max(g.nx, g.ny))
+    for edge in (
+            _swept_out(q[:, ::-1], np.maximum(u1[:, -1], 0.0) * dt / g.h1),
+            _swept_out(q, np.maximum(-u1[:, 0], 0.0) * dt / g.h1),
+            _swept_out(q[::-1, :].T, np.maximum(u2[-1, :], 0.0) * dt / g.h2),
+            _swept_out(q.T, np.maximum(-u2[0, :], 0.0) * dt / g.h2)):
+        swept[:edge.size] += edge  # edges differ in length off the square
     return float(np.sum(swept)) * g.cell_area
 
 
@@ -235,42 +245,41 @@ def _restore_sum(vals, lo, hi, target):
     return vals + math.copysign(theta, err) * room
 
 
-def advect_step(field: Field2D, u1, u2, dt, config: EvolutionConfig):
-    """Semi-Lagrangian step: RK2 departure points, monotone interpolation,
-    mass restored up to the outflow.
+def advect_step(field: Field2D, u1, u2, dt):
+    """Semi-Lagrangian step: RK2 departure points, monotone bicubic
+    interpolation, mass restored up to the outflow.
 
     All positions are handled in fractional-index space so a zero velocity
     reproduces the field bitwise.  The scalar is sampled from its copy padded
     with one ring of zeros (the velocity is clamped to its edge values), so
     departure points beyond the outermost cell centers bring in zero: no
-    inflow.  The clamped samples alone do not conserve mass:
-    the clamp clips smooth extrema and the backward map is not exactly
-    area-preserving.  So the samples are then moved inside their own
-    bilinear stencil ranges until the mass equals the old mass minus the
+    inflow.  One departure stencil serves the Catmull-Rom sample, its clamp
+    to the bilinear stencil range and the bilinear fallback where its 4x4
+    window reaches past the array.  The clamped samples alone do not
+    conserve mass: the clamp clips smooth extrema and the backward map is
+    not exactly area-preserving.  So the samples are then moved inside their
+    own bilinear stencil ranges until the mass equals the old mass minus the
     window outflow (window_outflow).  The step stays monotone and
-    sign-preserving.  The returned `lost` is the mass change, which equals
-    the outflow up to roundoff whenever the stencil ranges have room for the
-    correction."""
+    sign-preserving.  Returns the new field, the mass change `lost` and the
+    window `outflow`; the two agree up to roundoff whenever the stencil
+    ranges have room for the correction."""
     g = field.grid
     II, JJ = np.meshgrid(np.arange(g.nx, dtype=float),
                          np.arange(g.ny, dtype=float))
     mid = _bilinear_stencil(u1.shape, II - 0.5 * dt * u1 / g.h1,
                             JJ - 0.5 * dt * u2 / g.h2)
-    fxd = II - dt * _sample_bilinear(u1, mid) / g.h1
-    fyd = JJ - dt * _sample_bilinear(u2, mid) / g.h2
-    dep = _bilinear_stencil(field.values.shape, fxd, fyd, ring=1)
-    lin, lo, hi = _sample_bilinear(np.pad(field.values, 1), dep, bounds=True)
-    if config.interp == "bilinear":
-        new_vals = lin
-    else:
-        cub, usable = _sample_bicubic(field.values, fxd, fyd)
-        new_vals = np.where(usable, np.clip(cub, lo, hi), lin)
-    target = (float(np.sum(field.values))
-              - window_outflow(field, u1, u2, dt) / g.cell_area)
+    dep = _bilinear_stencil(field.values.shape,
+                            II - dt * _sample_bilinear(u1, mid) / g.h1,
+                            JJ - dt * _sample_bilinear(u2, mid) / g.h2, ring=1)
+    padded = np.pad(field.values, 1)
+    lin, lo, hi = _sample_bilinear(padded, dep, bounds=True)
+    cub, usable = _sample_bicubic(padded, dep)
+    new_vals = np.where(usable, np.clip(cub, lo, hi), lin)
+    outflow = window_outflow(field, u1, u2, dt)
+    target = float(np.sum(field.values)) - outflow / g.cell_area
     new_vals = _restore_sum(new_vals, lo, hi, target)
     new_field = Field2D(g, new_vals, nonneg=field.nonneg)
-    lost = mass(field) - mass(new_field)
-    return new_field, lost
+    return new_field, mass(field) - mass(new_field), outflow
 
 
 def _recenter(field: Field2D):
@@ -349,29 +358,29 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         rep.linf.append(lp_norm(field, math.inf))
         rep.orbital_distance.append(dist)
         rep.shift_c.append(c)
-        if check_wall and config.check_wall:
+        if check_wall:
             rep.wall_u1_max.append(float(np.max(np.abs(
                 wall_normal_velocity(field, params, n_points=32)))))
 
     if support_touches_wall(field):
         rep.flags.append("support touches the wall: image terms collide")
     diagnose(check_wall=True)
-    if 0 in config.snapshot_steps:
-        rep.snapshots[0] = field.copy()
     n_steps = int(round(config.T / dt))
     while step < n_steps:
         if step > 0:
             u1, u2 = velocity_pair_grid(field, params)
         umax = float(np.max(np.hypot(u1, u2)))
         while dt * umax / h > 0.5:
-            if halvings >= config.max_dt_halvings:
+            if halvings >= _MAX_DT_HALVINGS:
                 raise ConvergenceError(
-                    f"CFL exceeded after {config.max_dt_halvings} dt halvings")
+                    f"CFL exceeded after {_MAX_DT_HALVINGS} dt halvings")
             dt *= 0.5
             halvings += 1
             n_steps = step + int(math.ceil((config.T - t) / dt))
             rep.flags.append(f"dt halved to {dt:.3g} at t={t:.3g}")
-        field, lost = advect_step(field, u1, u2, dt, config)
+        field, lost, outflow = advect_step(field, u1, u2, dt)
+        rep.outflow += outflow
+        rep.outflow_max = max(rep.outflow_max, outflow)
         if abs(lost) > _MASS_LOSS_TOL * max(rep.mass[0], 1e-30):
             rep.flags.append(f"mass outflow {lost:.3g} through the window "
                              f"edges in one step at t={t:.3g}")
@@ -380,8 +389,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         step += 1
         if step % config.diag_every == 0 or step == n_steps:
             diagnose(check_wall=step == n_steps)
-        if step in config.snapshot_steps or (
-                config.snapshot_every and step % config.snapshot_every == 0):
+        if config.snapshot_every and step % config.snapshot_every == 0:
             rep.snapshots[step] = field.copy()
     rep.dt_used = dt
     rep.steps = step

@@ -217,6 +217,8 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     Raises ConstraintActiveError when the converged support touches the
     constraint ball (the asymptotic regime's red flag) unless allow_active.
     """
+    if sym_every < 1:
+        raise ParameterError(f"sym_every={sym_every} must be >= 1")
     profile, params = problem.profile, problem.params
     if limiting is None:
         limiting = solve_limiting(problem.s, problem.p, kappa=problem.kappa,

@@ -362,7 +362,7 @@ def test_criterion_10_stability_probe(pair_regime):
     u1, u2 = velocity_pair_grid(f, pb.params)
     tau = 2.0 * math.pi * sol.support_radius / float(np.max(np.hypot(u1, u2)))
     T = 5.0 * tau
-    cfg = EvolutionConfig(T=T, diag_every=200, check_wall=False)
+    cfg = EvolutionConfig(T=T, diag_every=200)
     rep = evolve(f, pb.params, cfg, reference=f, speed_hint=pb.speed)
     x1 = f.grid.x1_centers()
     norm = (lp_norm(f, 1) + lp_norm(f, 2)
@@ -376,7 +376,7 @@ def test_criterion_10_stability_probe(pair_regime):
     for seed in range(5):
         trials.append(("bump", 0.10, seed))
         trials.append(("bump", 0.05, seed))
-    cfg_tr = EvolutionConfig(T=T / 8.0, diag_every=100, check_wall=False)
+    cfg_tr = EvolutionConfig(T=T / 8.0, diag_every=100)
     rows = stability_experiment(f, pb.params, trials, cfg_tr,
                                 speed_hint=pb.speed, seed=0)
     ordered = 0

@@ -76,6 +76,36 @@ class TestUsage:
         got = _merge(_build_parser().parse_args(["solve-limiting"]))
         assert (got["threads"], got["seed"]) == (1, 0)
 
+    @pytest.mark.parametrize("flags", [["--diag-every", 0], ["--cfl", 0],
+                                       ["--snapshot-every", -1]])
+    def test_bad_evolve_number_exits_usage(self, pair_run, tmp_path, capsys,
+                                           flags):
+        out = tmp_path / "evo"
+        code = run(["evolve", "--run", pair_run, "--out", out,
+                    "--T", "0.01"] + flags)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_sym_every_exits_usage(self, tmp_path, capsys):
+        code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                    "--W", 1, "--L", REGIME_L, "--eps", "0.2", "--n", "32",
+                    "--sym-every", 0, "--out", tmp_path / "o"] + FAST)
+        assert code == 1
+        assert "error: sym_every=0" in capsys.readouterr().err
+
+    def test_interp_removed(self, pair_run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", "--run", pair_run, "--out", tmp_path / "a",
+                 "--interp", "bilinear"])
+        assert exc.value.code == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("interp = bicubic\n")
+        code = run(["evolve", "--config", cfg, "--run", pair_run,
+                    "--out", tmp_path / "b"])
+        assert code == 1
+        assert "unknown config key 'interp'" in capsys.readouterr().err
+
     def test_bracket_error_exits_nonconverged(self, tmp_path, monkeypatch,
                                               capsys):
         import gsqg.limiting
@@ -108,6 +138,23 @@ class TestSolveLimiting:
         listed = set(manifest["files"])
         actual = {f for f in os.listdir(out) if f != "manifest.json"}
         assert listed == actual
+
+    def test_manifest_free_of_timings(self, tmp_path):
+        # wall times go to timings.json, so a repeated run leaves the
+        # manifest byte-identical
+        out = tmp_path / "lim"
+        args = ["solve-limiting", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                "--out", out] + FAST
+        manifests = []
+        for _ in range(2):
+            assert run(args) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert "timings.json" in manifest["files"]
+        assert "wall_time_s" not in manifest
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings["wall_time_s"]) == {"solve-limiting"}
 
 
 class TestSolvePair:
@@ -224,6 +271,13 @@ class TestEvolveCmd:
         rep = json.loads((out / "evolve.json").read_text())
         # coarse desk-size run: just sanity, accuracy is tested elsewhere
         assert rep["mass_drift"] <= 0.05
+        # the mass budget closes: final = initial - outflow + scheme error
+        assert rep["outflow"] >= rep["outflow_max_step"] >= 0.0
+        assert abs(rep["scheme_error"]) <= 1e-12 * rep["mass_0"]
+        assert rep["mass_final"] == pytest.approx(
+            rep["mass_0"] - rep["outflow"] + rep["scheme_error"],
+            rel=0, abs=1e-15 * rep["mass_0"])
+        assert rep["wall_u1_max"] == 0.0
         snaps = [f for f in os.listdir(out) if f.startswith("snapshot_")]
         assert snaps and all(f.endswith(".field") for f in snaps)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -282,6 +336,9 @@ class TestRunChain:
         assert set(manifest["stages"]) == {"limiting", "pair_eps0p2",
                                            "verify", "evolve"}
         assert manifest["config"]["L"] == REGIME_L
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings["wall_time_s"]) == {"solve-pair", "verify",
+                                               "evolve"}
 
 
 class TestRearrangeCmd:

@@ -5,8 +5,13 @@ import pytest
 
 from gsqg.errors import ConvergenceError, DomainError, ParameterError
 from gsqg.evolution import (
+    _MAX_DT_HALVINGS,
     EvolutionConfig,
+    _bilinear_stencil,
+    _cr_weights,
     _recenter,
+    _restore_sum,
+    _sample_bilinear,
     advect_step,
     evolve,
     perturb,
@@ -31,14 +36,73 @@ def blob_field(n=96, center=(2.0, 0.0), radius=0.4, x1span=(1.0, 3.0)):
 PARAMS = KernelParams.from_order(0.5)
 
 
+def _sample_bicubic_reference(arr, fx, fy):
+    """Reference: Catmull-Rom on the unpadded array with its own floor,
+    clip and fraction, as before the departure stencil was shared."""
+    ny, nx = arr.shape
+    i0 = np.floor(fx).astype(int)
+    j0 = np.floor(fy).astype(int)
+    usable = (i0 >= 1) & (i0 <= nx - 3) & (j0 >= 1) & (j0 <= ny - 3)
+    i0c = np.clip(i0, 1, nx - 3)
+    j0c = np.clip(j0, 1, ny - 3)
+    wx = _cr_weights(fx - i0c)
+    wy = _cr_weights(fy - j0c)
+    flat = arr.ravel()
+    corner = (j0c - 1) * nx + (i0c - 1)
+    val = np.empty_like(fx, dtype=float)
+    row = np.empty_like(val)
+    out = np.zeros_like(val)
+    for a in range(4):
+        row.fill(0.0)
+        for b in range(4):
+            np.take(flat[a * nx + b:], corner, out=val, mode="clip")
+            np.multiply(wx[b], val, out=val)
+            np.add(row, val, out=row)
+        np.multiply(wy[a], row, out=row)
+        np.add(out, row, out=out)
+    return out, usable
+
+
+def _advect_step_reference(field, u1, u2, dt):
+    """Reference: the bicubic step with the departure points passed to
+    _sample_bicubic_reference, as before the departure stencil was shared."""
+    g = field.grid
+    II, JJ = np.meshgrid(np.arange(g.nx, dtype=float),
+                         np.arange(g.ny, dtype=float))
+    mid = _bilinear_stencil(u1.shape, II - 0.5 * dt * u1 / g.h1,
+                            JJ - 0.5 * dt * u2 / g.h2)
+    fxd = II - dt * _sample_bilinear(u1, mid) / g.h1
+    fyd = JJ - dt * _sample_bilinear(u2, mid) / g.h2
+    dep = _bilinear_stencil(field.values.shape, fxd, fyd, ring=1)
+    lin, lo, hi = _sample_bilinear(np.pad(field.values, 1), dep, bounds=True)
+    cub, usable = _sample_bicubic_reference(field.values, fxd, fyd)
+    new_vals = np.where(usable, np.clip(cub, lo, hi), lin)
+    target = (float(np.sum(field.values))
+              - window_outflow(field, u1, u2, dt) / g.cell_area)
+    new_vals = _restore_sum(new_vals, lo, hi, target)
+    new_field = Field2D(g, new_vals, nonneg=field.nonneg)
+    return new_field, mass(field) - mass(new_field)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             EvolutionConfig(T=-1.0)
         with pytest.raises(ParameterError):
             EvolutionConfig(T=1.0, dt=2.0)
+
+    @pytest.mark.parametrize("bad", [dict(diag_every=0), dict(diag_every=-3),
+                                     dict(cfl=0.0), dict(cfl=-0.4),
+                                     dict(cfl=math.nan),
+                                     dict(snapshot_every=-1)])
+    def test_numeric_knobs_rejected(self, bad):
         with pytest.raises(ParameterError):
-            EvolutionConfig(T=1.0, interp="cubic-hermite")
+            EvolutionConfig(T=1.0, **bad)
+
+    def test_knobs(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(EvolutionConfig)] == [
+            "dt", "T", "cfl", "diag_every", "snapshot_every"]
 
 
 class TestVelocity:
@@ -83,14 +147,20 @@ class TestVelocity:
 
 class TestAdvection:
     def test_bicubic_matches_reference_loop(self):
-        from gsqg.evolution import _cr_weights, _sample_bicubic
+        from gsqg.evolution import _sample_bicubic
         rng = np.random.default_rng(4)
         arr = rng.random((23, 17))
         fx = rng.uniform(-2.0, 18.0, (23, 17))
         fy = rng.uniform(-2.0, 24.0, (23, 17))
-        out, _ = _sample_bicubic(arr, fx, fy)
-        i0 = np.clip(np.floor(fx).astype(int), 1, 17 - 3)
-        j0 = np.clip(np.floor(fy).astype(int), 1, 23 - 3)
+        dep = _bilinear_stencil(arr.shape, fx, fy, ring=1)
+        out, usable = _sample_bicubic(np.pad(arr, 1), dep)
+        i0 = np.floor(fx).astype(int)
+        j0 = np.floor(fy).astype(int)
+        assert np.array_equal(usable, (i0 >= 1) & (i0 <= 17 - 3)
+                              & (j0 >= 1) & (j0 <= 23 - 3))
+        assert 0 < np.count_nonzero(usable) < usable.size
+        i0 = np.clip(i0, 1, 17 - 3)
+        j0 = np.clip(j0, 1, 23 - 3)
         wx, wy = _cr_weights(fx - i0), _cr_weights(fy - j0)
         ref = np.zeros_like(fx)
         for a in range(4):
@@ -98,23 +168,42 @@ class TestAdvection:
             for b in range(4):
                 row += wx[b] * arr[j0 - 1 + a, i0 - 1 + b]
             ref += wy[a] * row
-        assert np.array_equal(out, ref)
+        assert np.array_equal(out[usable], ref[usable])
+
+    @pytest.mark.parametrize("shape", [(23, 17), (40, 96), (64, 31),
+                                       (48, 48)])
+    @pytest.mark.parametrize("cells", [0.3, 2.5, 9.0])
+    def test_matches_unshared_stencil(self, shape, cells):
+        # random velocities of up to `cells` cells per step send departure
+        # points past all four window edges; the shared stencil changes
+        # no bit of the step
+        rng = np.random.default_rng(shape[0] * 131 + shape[1])
+        ny, nx = shape
+        g = Grid2D(nx, ny, 0.5, 2.0, -1.0, 1.0)
+        vals = rng.random(shape) * (rng.random(shape) > 0.3)
+        f = Field2D(g, vals, nonneg=True)
+        dt = 0.05
+        u1 = rng.uniform(-cells, cells, shape) * g.h1 / dt
+        u2 = rng.uniform(-cells, cells, shape) * g.h2 / dt
+        out, lost, _ = advect_step(f, u1, u2, dt)
+        ref, ref_lost = _advect_step_reference(f, u1, u2, dt)
+        assert np.array_equal(out.values, ref.values)
+        assert lost == ref_lost
 
     def test_zero_velocity_identity(self):
         f = blob_field(n=64)
         z = np.zeros_like(f.values)
-        out, lost = advect_step(f, z, z, 0.1, EvolutionConfig(T=1.0))
+        out, lost, outflow = advect_step(f, z, z, 0.1)
         assert np.array_equal(out.values, f.values)
-        assert lost == 0.0
+        assert lost == outflow == 0.0
 
     def test_aligned_uniform_shift_exact(self):
         f = blob_field(n=64)
         g = f.grid
         dt = 0.05
         v = g.h2 / dt
-        out, _ = advect_step(f, np.zeros_like(f.values),
-                             np.full_like(f.values, v), dt,
-                             EvolutionConfig(T=1.0))
+        out, _, _ = advect_step(f, np.zeros_like(f.values),
+                                np.full_like(f.values, v), dt)
         np.testing.assert_array_equal(out.values[2:-2, 2:-2],
                                       f.values[1:-3, 2:-2])
 
@@ -131,9 +220,8 @@ class TestAdvection:
         n_steps = int(math.ceil(2 * math.pi / om / (0.4 * g.h1 / speed)))
         dt = 2 * math.pi / om / n_steps
         cur = f
-        cfg = EvolutionConfig(T=1.0, interp="bicubic")
         for _ in range(n_steps):
-            cur, _ = advect_step(cur, u1, u2, dt, cfg)
+            cur, _, _ = advect_step(cur, u1, u2, dt)
         l2_0 = lp_norm(f, 2)
         decay = (l2_0 - lp_norm(cur, 2)) / l2_0
         err = lp_norm(Field2D(g, cur.values - f.values), 2) / l2_0
@@ -145,16 +233,17 @@ class TestAdvection:
         f = blob_field(n=48)
         u1 = rng.standard_normal(f.values.shape) * 0.3
         u2 = rng.standard_normal(f.values.shape) * 0.3
-        out, _ = advect_step(f, u1, u2, 0.02, EvolutionConfig(T=1.0))
+        out, _, _ = advect_step(f, u1, u2, 0.02)
         assert out.values.max() <= f.values.max()
         assert out.values.min() >= 0.0
 
     def test_outflow_zero_inflow(self):
         f = blob_field(n=48, center=(2.8, 0.0), radius=0.3)
         push = np.full_like(f.values, 5.0)
-        out, lost = advect_step(f, push, np.zeros_like(f.values), 0.05,
-                                EvolutionConfig(T=1.0))
+        out, lost, outflow = advect_step(f, push, np.zeros_like(f.values),
+                                         0.05)
         assert lost > 0
+        assert lost == pytest.approx(outflow, rel=1e-12)
         assert out.values.min() >= 0.0
 
     def test_solid_rotation_conserves_mass(self):
@@ -173,10 +262,10 @@ class TestAdvection:
         dt = 2 * math.pi / om / n_steps
         cur = f
         outflow = 0.0
-        cfg = EvolutionConfig(T=1.0, interp="bicubic")
         for _ in range(n_steps):
             out_k = window_outflow(cur, u1, u2, dt)
-            cur, lost = advect_step(cur, u1, u2, dt, cfg)
+            cur, lost, outflow_k = advect_step(cur, u1, u2, dt)
+            assert outflow_k == out_k
             assert abs(lost - out_k) <= 1e-14 * mass(f)
             outflow += out_k
         assert outflow <= 1e-6 * mass(f)
@@ -205,28 +294,38 @@ class TestAdvection:
         flux = float(swept) * g.cell_area
         assert flux > 0
         assert window_outflow(f, u1, u2, dt) == pytest.approx(flux, rel=1e-12)
-        out, lost = advect_step(f, u1, u2, dt, EvolutionConfig(T=1.0))
+        out, lost, outflow = advect_step(f, u1, u2, dt)
         assert lost == pytest.approx(flux, rel=1e-12)
+        assert outflow == window_outflow(f, u1, u2, dt)
         assert mass(out) == pytest.approx(mass(f) - flux, rel=1e-12)
         assert out.values.min() >= 0.0
         assert out.values.max() <= f.values.max()
 
     def test_no_inflow_at_upwind_edge(self):
         # density on the inflow edge: the upwind column takes zero from
-        # beyond the window, so the block moves 0.4 cells, mass unchanged
+        # beyond the window, so its sample is 0.6 (inflow would make it 1),
+        # and the block moves 0.4 cells with its mass unchanged.  The 4-wide
+        # block's far edge is clipped bicubic, 0.376 in place of 0.4; the
+        # mass restore spreads that deficit over every stencil with room,
+        # the upwind column included, which the 1-wide block never needs
         g = Grid2D(32, 32, 0.0, 1.0, 0.0, 1.0)
-        vals = np.zeros((32, 32))
-        vals[:, :4] = 1.0
-        f = Field2D(g, vals, nonneg=True)
         dt = 0.1
-        zero = np.zeros_like(vals)
-        out, lost = advect_step(f, np.full_like(vals, 0.4 * g.h1 / dt), zero,
-                                dt, EvolutionConfig(T=1.0, interp="bilinear"))
-        np.testing.assert_allclose(out.values[:, :5],
-                                   [[0.6, 1.0, 1.0, 1.0, 0.4]] * 32,
-                                   rtol=0, atol=1e-15)
-        assert np.all(out.values[:, 5:] == 0.0)
-        assert lost == 0.0
+        for width in (1, 4):
+            vals = np.zeros((32, 32))
+            vals[:, :width] = 1.0
+            f = Field2D(g, vals, nonneg=True)
+            out, lost, outflow = advect_step(
+                f, np.full_like(vals, 0.4 * g.h1 / dt), np.zeros_like(vals),
+                dt)
+            assert lost == outflow == 0.0
+            assert np.all(out.values[:, width + 1:] == 0.0)
+            assert np.all(out.values[:, 1:width] == 1.0)
+            edge = out.values[:, 0]
+            if width == 1:
+                assert np.all(edge == 0.6)
+                assert np.all(out.values[:, 1] == 0.4)
+            else:
+                assert np.all((0.6 < edge) & (edge < 0.62))
 
     def test_recenter_zero_field_stays_put(self):
         # a zero field has no center of mass: the window does not move
@@ -240,25 +339,27 @@ class TestEvolve:
     def test_conservation_at_rest(self):
         # all diagnostics constant to machine precision when u is frozen to 0
         f = blob_field(n=48)
-        cfg = EvolutionConfig(T=0.4, dt=0.1, diag_every=1, check_wall=False)
         cur = f
         vals0 = (mass(f), lp_norm(f, 2), lp_norm(f, math.inf))
         for _ in range(4):
-            cur, _ = advect_step(cur, np.zeros_like(f.values),
-                                 np.zeros_like(f.values), 0.1, cfg)
+            cur, _, _ = advect_step(cur, np.zeros_like(f.values),
+                                    np.zeros_like(f.values), 0.1)
         assert (mass(cur), lp_norm(cur, 2), lp_norm(cur, math.inf)) == vals0
 
     def test_short_run_diagnostics(self):
         f = blob_field(n=64)
-        cfg = EvolutionConfig(T=0.3, diag_every=5, snapshot_steps=(0,))
+        cfg = EvolutionConfig(T=0.3, diag_every=5, snapshot_every=2)
         rep = evolve(f, PARAMS, cfg, reference=f)
         assert rep.steps >= 1
         assert rep.drift("mass") <= 1e-3
         assert max(rep.wall_u1_max) == 0.0
         assert all(rep.linf[i + 1] <= rep.linf[i] * (1 + 1e-14)
                    for i in range(len(rep.linf) - 1))
-        assert 0 in rep.snapshots
+        assert sorted(rep.snapshots) == list(range(2, rep.steps + 1, 2))
         assert len(rep.rows()) == len(rep.times)
+        # mass budget: what the window edges let out, and the rest
+        assert rep.outflow >= rep.outflow_max >= 0.0
+        assert abs(rep.scheme_error()) <= 1e-12 * rep.mass[0]
 
     def test_wall_check_at_first_and_last_diagnosis(self):
         f = blob_field(n=32)
@@ -266,16 +367,18 @@ class TestEvolve:
                      reference=f)
         assert len(rep.times) == rep.steps + 1 > 2
         assert rep.wall_u1_max == [0.0, 0.0]
-        rep = evolve(f, PARAMS, EvolutionConfig(T=0.2, diag_every=1,
-                                                check_wall=False), reference=f)
-        assert rep.wall_u1_max == []
 
     def test_cfl_halving_then_abort(self):
+        # dt at 2^k times the CFL step: k halvings are allowed, k + 1 not
         f = blob_field(n=48)
-        cfg = EvolutionConfig(T=1.0, dt=1.0, max_dt_halvings=1,
-                              check_wall=False)
+        u1, u2 = velocity_pair_grid(f, PARAMS)
+        dt_cfl = 0.4 * f.grid.h1 / float(np.max(np.hypot(u1, u2)))
+        dt = 2 ** _MAX_DT_HALVINGS * dt_cfl
+        rep = evolve(f, PARAMS, EvolutionConfig(T=dt, dt=dt))
+        assert rep.steps == 2 ** _MAX_DT_HALVINGS
+        assert sum("dt halved" in m for m in rep.flags) == _MAX_DT_HALVINGS
         with pytest.raises(ConvergenceError):
-            evolve(f, PARAMS, cfg)
+            evolve(f, PARAMS, EvolutionConfig(T=4 * dt, dt=4 * dt))
 
     def test_negative_input_rejected(self):
         g = Grid2D(8, 8, 0.0, 1.0, -0.5, 0.5)
@@ -291,8 +394,7 @@ class TestEvolve:
         u1, u2 = velocity_pair_grid(f, sol.problem.params)
         h = min(f.grid.h1, f.grid.h2)
         dt = 0.4 * h / float(np.max(np.hypot(u1, u2)))
-        cfg = EvolutionConfig(T=200 * dt, dt=dt, diag_every=50,
-                              check_wall=False)
+        cfg = EvolutionConfig(T=200 * dt, dt=dt, diag_every=50)
         rep = evolve(f, sol.problem.params, cfg, reference=f,
                      speed_hint=sol.problem.speed)
         x1 = f.grid.x1_centers()
@@ -326,8 +428,7 @@ class TestPerturbations:
         u1, u2 = velocity_pair_grid(f, sol.problem.params)
         h = min(f.grid.h1, f.grid.h2)
         dt = 0.4 * h / float(np.max(np.hypot(u1, u2)))
-        cfg = EvolutionConfig(T=30 * dt, dt=dt, diag_every=10,
-                              check_wall=False)
+        cfg = EvolutionConfig(T=30 * dt, dt=dt, diag_every=10)
         rows = stability_experiment(
             f, sol.problem.params,
             [("none", 0.0, 0), ("bump", 0.04, 1), ("bump", 0.02, 1)],
