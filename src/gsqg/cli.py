@@ -246,21 +246,27 @@ def cmd_solve_pair(cfg):
     from .pair import ConstraintActiveError, PairProblem, solve_pair
     _require(cfg, ["s", "p", "kappa", "W", "out"])
     _validate_profile(cfg)
+    # every argument is checked before the limiting stage runs, so a bad
+    # one leaves no partial run directory
+    problems = [PairProblem(s=cfg["s"], p=cfg["p"], kappa=cfg["kappa"],
+                            W=cfg["W"], eps=eps, L=cfg.get("L"))
+                for eps in _eps_list(cfg)]
+    sym_every = cfg.get("sym_every", 5)
+    if sym_every < 1:
+        raise ValueError(f"sym_every={sym_every} must be >= 1")
     run = RunDir(cfg["out"], cfg, "solve-pair")
     lim = _solve_limiting(cfg)
     run.write_json("limiting.json", lim.report())
     run.stages["limiting"] = "limiting.json"
     status = EXIT_OK
-    for eps in _eps_list(cfg):
-        problem = PairProblem(s=cfg["s"], p=cfg["p"], kappa=cfg["kappa"],
-                              W=cfg["W"], eps=eps, L=cfg.get("L"))
+    for problem in problems:
+        eps = problem.eps
         tag = ("%g" % eps).replace(".", "p")
         try:
             sol = solve_pair(
                 problem, n=cfg.get("n", 192), limiting=lim,
                 tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
-                damping=cfg.get("damping", 0.5),
-                sym_every=cfg.get("sym_every", 5),
+                damping=cfg.get("damping", 0.5), sym_every=sym_every,
                 window_factor=cfg.get("window_factor", 6.0),
                 allow_active=bool(cfg.get("allow_active", 0)))
         except ConstraintActiveError as exc:

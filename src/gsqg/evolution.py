@@ -40,6 +40,7 @@ from .kernels import (
 
 _RECENTER_CELLS = 10  # center drift, in cells, that shifts the window
 _MAX_DT_HALVINGS = 3  # CFL halvings allowed before evolve gives up
+_CFL_MAX = 0.5  # CFL number above which evolve halves dt
 _MASS_LOSS_TOL = 1e-3  # flag a step whose outflow exceeds this share of mass
 
 # trajectory.csv columns, in order; "t" reads TrajectoryReport.times
@@ -60,8 +61,9 @@ class EvolutionConfig:
             raise ParameterError("horizon T must be positive")
         if self.dt is not None and (self.dt <= 0 or self.T < self.dt):
             raise ParameterError("need 0 < dt <= T")
-        if not self.cfl > 0:
-            raise ParameterError(f"cfl={self.cfl} must be positive")
+        if not 0 < self.cfl <= _CFL_MAX:
+            raise ParameterError(
+                f"cfl={self.cfl} must lie in (0, {_CFL_MAX}]")
         if self.diag_every < 1:
             raise ParameterError(f"diag_every={self.diag_every} must be >= 1")
         if self.snapshot_every < 0:
@@ -370,7 +372,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         if step > 0:
             u1, u2 = velocity_pair_grid(field, params)
         umax = float(np.max(np.hypot(u1, u2)))
-        while dt * umax / h > 0.5:
+        while dt * umax / h > _CFL_MAX:
             if halvings >= _MAX_DT_HALVINGS:
                 raise ConvergenceError(
                     f"CFL exceeded after {_MAX_DT_HALVINGS} dt halvings")

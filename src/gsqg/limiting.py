@@ -171,6 +171,15 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None,
 # ---------------------------------------------------------------------------
 # energy-monitored damped step and the constrained fixed-point driver
 
+# residual at which a mixed solve has reached its roundoff floor and stops
+_RESIDUAL_FLOOR = 1e-12
+
+
+def stop_floor(tol):
+    """The residual at or below which a mixed constrained_ascent stops at
+    once: the roundoff floor, or tol when that is smaller."""
+    return min(tol, _RESIDUAL_FLOOR)
+
 
 def monitored_step(trial_at, evaluate, energy, theta, damping):
     """One energy-monitored damped ascent step.
@@ -208,8 +217,10 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     relative; the damped step is the fallback and clears the history.
     Mixing is for slow modes the damped map relaxes hopelessly slowly, like
     the pair's blob position, whose force is itself part of the residual;
-    so the mixed solve does not stop at the first residual <= tol but once
-    the residual is <= tol and has not improved 0.7x for 30 iterations.
+    so the mixed solve does not stop at the first residual <= tol but at the
+    first residual <= stop_floor(tol), the roundoff floor of the map.  A
+    mixed solve that plateaus above the floor stops once the residual is
+    <= tol and has not improved 0.7x for 30 iterations.
 
     Eight rejected damped steps in a row, or max_iter iterations, raise
     ConvergenceError.  Returns (x, psi, mu, energy, residual, iterations).
@@ -221,6 +232,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     theta = damping
     residual = best = math.inf
     since_best = bad_streak = 0
+    floor = stop_floor(tol)
     dX, dG = [], []
     x_prev = g_prev = None
     for it in range(1, max_iter + 1):
@@ -235,7 +247,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
                 best, since_best = residual, 0
             else:
                 since_best += 1
-            if residual <= tol and since_best >= 30:
+            if residual <= floor or (residual <= tol and since_best >= 30):
                 break
             if x_prev is not None:
                 dX.append((x - x_prev).ravel())

@@ -45,6 +45,7 @@ from .limiting import (
     radial_to_field,
     solve_limiting,
     solve_multiplier,
+    stop_floor,
 )
 from .profiles import PowerProfile, compute_struct_constants
 
@@ -120,6 +121,8 @@ class PairSolution:
     ball_clearance: float  # min distance from support to the ball boundary
     iterations: int
     converged: bool
+    stop: str = None               # "floor" or "plateau"; None on a reload
+    ascent_residual: float = None  # the ascent's last fixed-point residual
     residuals: dict = dc_field(default_factory=dict)
     warnings: list = dc_field(default_factory=list)
 
@@ -143,6 +146,8 @@ class PairSolution:
             "support_radius": self.support_radius,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop": self.stop,
+            "ascent_residual": self.ascent_residual,
         }
 
 
@@ -212,7 +217,10 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     The blob position in x1 is a near-neutral mode (its restoring force is
     the O(eps^(3-2s)) translation term), so the damped map alone relaxes it
     hopelessly slowly; constrained_ascent's Anderson mixing removes it, with
-    the energy-monitored damped step as the safeguarded fallback.
+    the energy-monitored damped step as the safeguarded fallback.  The
+    solution's stop says whether the ascent reached its roundoff floor
+    ("floor") or stopped on a plateau above it ("plateau"), and
+    ascent_residual gives its last residual.
 
     Raises ConstraintActiveError when the converged support touches the
     constraint ball (the asymptotic regime's red flag) unless allow_active.
@@ -278,7 +286,7 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
             f_new = steiner_symmetrize_x2(Field2D(grid, f_new, True)).values
         return mu, f_new
 
-    vals, *_, it = constrained_ascent(
+    vals, *_, residual, it = constrained_ascent(
         vals, evaluate, target, lambda v: float(np.sum(v)) * a,
         kappa=problem.kappa, tol=tol, max_iter=max_iter, damping=damping,
         anderson=True, project=_project, name="pair solve")
@@ -288,6 +296,8 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
     sol = rebuild_solution(
         problem, steiner_symmetrize_x2(Field2D(grid, vals, nonneg=True)))
     sol.iterations = it
+    sol.stop = "floor" if residual <= stop_floor(tol) else "plateau"
+    sol.ascent_residual = residual
     sol.warnings = warnings
     if sol.ball_clearance <= 2.0 * grid.h1 and not allow_active:
         raise ConstraintActiveError(

@@ -77,7 +77,8 @@ class TestUsage:
         assert (got["threads"], got["seed"]) == (1, 0)
 
     @pytest.mark.parametrize("flags", [["--diag-every", 0], ["--cfl", 0],
-                                       ["--snapshot-every", -1]])
+                                       ["--snapshot-every", -1],
+                                       ["--cfl", 0.8], ["--cfl", 5]])
     def test_bad_evolve_number_exits_usage(self, pair_run, tmp_path, capsys,
                                            flags):
         out = tmp_path / "evo"
@@ -88,11 +89,24 @@ class TestUsage:
         assert not out.exists()
 
     def test_bad_sym_every_exits_usage(self, tmp_path, capsys):
+        out = tmp_path / "o"
         code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
                     "--W", 1, "--L", REGIME_L, "--eps", "0.2", "--n", "32",
-                    "--sym-every", 0, "--out", tmp_path / "o"] + FAST)
+                    "--sym-every", 0, "--out", out] + FAST)
         assert code == 1
         assert "error: sym_every=0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_eps_exits_before_any_solve(self, tmp_path, capsys):
+        # the bad second eps is caught before the limiting stage and the
+        # eps-0.2 solve, so no partial run directory is left
+        out = tmp_path / "o"
+        code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                    "--W", 1, "--L", REGIME_L, "--eps", "0.2,-0.1",
+                    "--n", "32", "--out", out] + FAST)
+        assert code == 1
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_interp_removed(self, pair_run, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +187,9 @@ class TestSolvePair:
         rep = json.loads((pair_run / "pair_eps0p2.json").read_text())
         assert rep["converged"] is True
         assert rep["constraint_active"] is False
+        assert rep["stop"] in ("floor", "plateau")
+        assert rep["ascent_residual"] <= 1e-5
+        assert (rep["stop"] == "floor") == (rep["ascent_residual"] <= 1e-12)
         field = read_field(pair_run / "omega_eps0p2.field")
         assert field.grid.nx == 64
         assert abs(np.sum(field.values) * field.grid.cell_area - 1.0) < 1e-8
@@ -360,4 +377,7 @@ class TestReportCmd:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "limiting" in summary["stages"]
-        assert (out / "summary.csv").exists()
+        rep = summary["stages"]["pair_eps0p2"]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert f"pair_eps0p2,stop,{rep['stop']}" in rows
+        assert f"pair_eps0p2,ascent_residual,{rep['ascent_residual']}" in rows

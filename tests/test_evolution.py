@@ -5,6 +5,7 @@ import pytest
 
 from gsqg.errors import ConvergenceError, DomainError, ParameterError
 from gsqg.evolution import (
+    _CFL_MAX,
     _MAX_DT_HALVINGS,
     EvolutionConfig,
     _bilinear_stencil,
@@ -94,10 +95,14 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [dict(diag_every=0), dict(diag_every=-3),
                                      dict(cfl=0.0), dict(cfl=-0.4),
                                      dict(cfl=math.nan),
-                                     dict(snapshot_every=-1)])
+                                     dict(snapshot_every=-1),
+                                     dict(cfl=0.8), dict(cfl=5.0)])
     def test_numeric_knobs_rejected(self, bad):
         with pytest.raises(ParameterError):
             EvolutionConfig(T=1.0, **bad)
+
+    def test_cfl_ceiling_accepted(self):
+        assert EvolutionConfig(T=1.0, cfl=_CFL_MAX).cfl == 0.5
 
     def test_knobs(self):
         from dataclasses import fields

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from gsqg.errors import (
 from gsqg.fields import Field2D, Grid2D, RadialField, lp_norm
 from gsqg.kernels import KernelParams, potential_free_grid
 from gsqg.limiting import (
+    _RESIDUAL_FLOOR,
     LimitingSolution,
     _gauss_legendre,
     _initial_patch,
@@ -401,10 +403,19 @@ class TestConstrainedAscent:
         assert exc.value.iterations == iters - 1
         assert exc.value.residual == last_above
 
-    def test_mixed_run_waits_out_the_plateau(self):
-        # starting at the fixed point the residual is 0 from the first
-        # iteration on: it never improves 0.7x again, so the run stops on
-        # the 30th iteration after the first
+    @staticmethod
+    def _scripted(residuals, **kw):
+        # a mixed run whose residual at iteration it is residuals[it - 1]:
+        # the mass measure reads the script in place of mass(|g|)
+        script = iter(residuals)
+        return constrained_ascent(
+            np.linspace(1.0, 2.0, 7), lambda x: (0.0, x),
+            lambda psi, mu, it, residual: (0.0, 0.5 * psi),
+            lambda v: next(script), kappa=1.0, damping=0.5, anderson=True,
+            **kw)
+
+    def test_mixed_run_stops_at_the_floor(self):
+        # started at the fixed point the residual is 0 on iteration 1
         x0 = np.linspace(1.0, 2.0, 7)
         calls = []
 
@@ -416,12 +427,29 @@ class TestConstrainedAscent:
             x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
             kappa=1.0, tol=1e-6, max_iter=100, damping=0.5, anderson=True)
         np.testing.assert_array_equal(out[0], x0)
-        assert out[4] == 0.0 and out[5] == 31 and calls == list(range(1, 32))
+        assert out[4] == 0.0 and out[5] == 1 and calls == [1]
+        # residuals <= tol but above the floor do not stop the run
+        out = self._scripted([1e-3, 1e-7, 1e-10, 1e-12, 0.0], tol=1e-6,
+                             max_iter=100)
+        assert out[4] == _RESIDUAL_FLOOR == 1e-12 and out[5] == 4
+
+    def test_mixed_run_falls_back_on_a_plateau(self):
+        # a residual stuck at 1e-8, above the floor and below tol, never
+        # improves 0.7x again: the run stops 30 iterations after the first
+        out = self._scripted(itertools.repeat(1e-8), tol=1e-6, max_iter=100)
+        assert out[4] == 1e-8 and out[5] == 31
         with pytest.raises(ConvergenceError) as exc:
-            constrained_ascent(
-                x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
-                kappa=1.0, tol=1e-6, max_iter=30, damping=0.5, anderson=True)
-        assert exc.value.iterations == 30 and exc.value.residual == 0.0
+            self._scripted(itertools.repeat(1e-8), tol=1e-6, max_iter=30)
+        assert exc.value.iterations == 30 and exc.value.residual == 1e-8
+
+    def test_mixed_run_tol_below_floor(self):
+        # tol under the floor: the first residual <= tol stops the run
+        out = self._scripted([1e-3, 1e-12, 1e-13, 1e-14, 0.0], tol=1e-14,
+                             max_iter=100)
+        assert out[4] == 1e-14 and out[5] == 4
+        with pytest.raises(ConvergenceError) as exc:
+            self._scripted(itertools.repeat(1e-13), tol=1e-14, max_iter=50)
+        assert exc.value.iterations == 50 and exc.value.residual == 1e-13
 
     def test_polish_budget_raises_named_error(self):
         sol = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=48, n_angles=48,

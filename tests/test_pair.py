@@ -10,6 +10,7 @@ from gsqg.fields import (
     rearrangement_equimeasurable,
     write_field,
 )
+from gsqg.limiting import _RESIDUAL_FLOOR, radial_to_field
 from gsqg.pair import (
     ConstraintActiveError,
     PairProblem,
@@ -178,6 +179,24 @@ class TestSolvePair:
                                 -4 * grid.h2, 4 * grid.h2)
         norm = mass(sol_a.omega) * (1 + sol_a.omega.grid.x1max)
         assert d <= 0.02 * norm
+
+    def test_stops_at_the_floor_and_ulp_stable(self, limiting_regime):
+        # a converging solve stops at its first residual <= 1e-12, and a
+        # 1-ulp change of the start moves d_eps by at most 1e-9 relative
+        pb = PairProblem(s=0.5, p=1.5, eps=0.2, L=REGIME_L)
+        sol = solve_pair(pb, n=96, limiting=limiting_regime)
+        assert sol.stop == "floor"
+        assert sol.ascent_residual <= _RESIDUAL_FLOOR
+        grid = sol.omega.grid
+        init = radial_to_field(limiting_regime.omega0, grid,
+                               center=pb.ball_center).values
+        j, i = np.indices(init.shape)
+        nudged = np.where(((i + j) % 2 == 0) & (init > 0),
+                          np.nextafter(init, np.inf), init)
+        again = solve_pair(pb, n=96, limiting=limiting_regime,
+                           init_field=Field2D(grid, nudged))
+        assert again.stop == "floor"
+        assert abs(again.d_eps / sol.d_eps - 1.0) <= 1e-9
 
     def test_constraint_active_diagnosed_at_canonical_parameters(
             self, limiting_canonical):
