@@ -20,8 +20,7 @@ EXIT_VERIFY = 3
 _CONFIG_KEYS = {
     "s": float, "p": float, "kappa": float, "W": float, "L": float,
     "eps": str, "n": int, "nr": int, "n_angles": int,
-    "tol": float, "max_iter": int, "damping": float, "sym_every": int,
-    "window_factor": float, "allow_active": int,
+    "tol": float, "max_iter": int, "damping": float, "allow_active": int,
     "dt": float, "T": float, "cfl": float,
     "diag_every": int, "snapshot_every": int, "perturb": str,
     "shift_cells": int,
@@ -61,8 +60,7 @@ def _build_parser():
         if model:
             p.add_argument("--eps", help="comma-separated list")
             typed(p, ("s", "p", "kappa", "W", "L", "n", "nr", "n_angles",
-                      "tol", "max_iter", "damping", "sym_every",
-                      "window_factor"))
+                      "tol", "max_iter", "damping"))
             p.add_argument("--allow-active", dest="allow_active",
                            action="store_const", const=1)
 
@@ -243,7 +241,8 @@ def cmd_solve_limiting(cfg):
 
 def cmd_solve_pair(cfg):
     from .fields import write_field
-    from .pair import ConstraintActiveError, PairProblem, solve_pair
+    from .pair import (ConstraintActiveError, PairProblem,
+                       check_window_cells, solve_pair)
     _require(cfg, ["s", "p", "kappa", "W", "out"])
     _validate_profile(cfg)
     # every argument is checked before the limiting stage runs, so a bad
@@ -251,9 +250,7 @@ def cmd_solve_pair(cfg):
     problems = [PairProblem(s=cfg["s"], p=cfg["p"], kappa=cfg["kappa"],
                             W=cfg["W"], eps=eps, L=cfg.get("L"))
                 for eps in _eps_list(cfg)]
-    sym_every = cfg.get("sym_every", 5)
-    if sym_every < 1:
-        raise ValueError(f"sym_every={sym_every} must be >= 1")
+    check_window_cells(cfg.get("n", 192))
     run = RunDir(cfg["out"], cfg, "solve-pair")
     lim = _solve_limiting(cfg)
     run.write_json("limiting.json", lim.report())
@@ -264,10 +261,9 @@ def cmd_solve_pair(cfg):
         tag = ("%g" % eps).replace(".", "p")
         try:
             sol = solve_pair(
-                problem, n=cfg.get("n", 192), limiting=lim,
-                tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
-                damping=cfg.get("damping", 0.5), sym_every=sym_every,
-                window_factor=cfg.get("window_factor", 6.0),
+                problem, lim, n=cfg.get("n", 192), tol=cfg.get("tol", 1e-6),
+                max_iter=cfg.get("max_iter", 2000),
+                damping=cfg.get("damping", 0.5),
                 allow_active=bool(cfg.get("allow_active", 0)))
         except ConstraintActiveError as exc:
             sys.stderr.write(f"eps={eps}: {exc}\n")

@@ -205,9 +205,9 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     """Energy-monitored fixed point x <- f of a mass-constrained maximizer.
 
     The caller supplies the problem: evaluate(x) -> (energy, psi), the
-    multiplier target target(psi, mu, it, residual) -> (mu, f) (it counts
-    from 1, residual is the previous iteration's), the mass measure
-    mass(v) and the projection onto admissible iterates (none by default).
+    multiplier target target(psi, mu) -> (mu, f), one fixed map whatever
+    the iteration count or the residual, the mass measure mass(v) and the
+    projection onto admissible iterates (none by default).
     Iteration it takes g = f - x and the residual mass(|g|) / kappa.
 
     With anderson=False the solve stops at the first residual <= tol and
@@ -236,7 +236,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     dX, dG = [], []
     x_prev = g_prev = None
     for it in range(1, max_iter + 1):
-        mu, f = target(psi, mu, it, residual)
+        mu, f = target(psi, mu)
         g = f - x
         residual = mass(np.abs(g)) / kappa
         if not anderson:
@@ -464,11 +464,10 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
         psi_x = M @ x
         return _radial_energy(x, psi_x, meas, profile)[0], psi_x
 
-    def target(psi, mu, it, residual):
-        return solve_multiplier(psi, meas, profile, kappa, mu0=mu)
-
     omega, psi, mu, _, residual, it = constrained_ascent(
-        omega, evaluate, target, lambda v: float(np.sum(meas * v)),
+        omega, evaluate,
+        lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
+        lambda v: float(np.sum(meas * v)),
         kappa=kappa, tol=tol, max_iter=max_iter, damping=damping,
         anderson=False, name="limiting solve")
 
@@ -576,25 +575,35 @@ def to_state_2d(sol: LimitingSolution, n, box_halfwidth=None,
     profile, params, kappa = sol.profile, sol.params, sol.kappa
     a = grid.cell_area
     vals = f.values * (kappa / (np.sum(f.values) * a))
-    meas = np.full(vals.size, a)
+    meas = np.full(vals.shape, a)
 
     def evaluate(x):
         field = Field2D(grid, x, nonneg=True)
         psi = potential_free_grid(field, params)
         return energy_E0(field, profile, params, psi), psi
 
-    def target(psi, mu, it, residual):
-        mu, f_new = solve_multiplier(psi.ravel(), meas, profile, kappa,
-                                     mu0=mu)
-        return mu, f_new.reshape(psi.shape)
-
     vals, psi, mu, e0, residual, _ = constrained_ascent(
-        vals, evaluate, target, lambda v: float(np.sum(v) * a), kappa=kappa,
+        vals, evaluate,
+        lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
+        lambda v: float(np.sum(v) * a), kappa=kappa,
         tol=polish_tol, max_iter=polish_iters, damping=0.5, anderson=False,
         mu=sol.mu0, name="2D polish")
     return Limiting2DState(field=Field2D(grid, vals, nonneg=True), psi=psi,
                            mu=mu, E0=e0, s=sol.s, p=sol.p, L=sol.L,
                            kappa=kappa, polish_residual=residual)
+
+
+def _linearization(state: Limiting2DState):
+    """Coefficient p L_g (psi0 - mu)_+^{p-1} of the linearized operator and
+    the weight A_g mu/kappa of its mean term; RegimeError unless p > 1."""
+    profile = state.profile
+    if profile.p <= 1.0:
+        raise RegimeError("linearized operator needs p > 1")
+    coeff = profile.p * profile.L_gamma * np.clip(
+        state.psi - state.mu, 0.0, None) ** (profile.p - 1.0)
+    consts = compute_struct_constants(state.s, state.p, L=state.L,
+                                      kappa=state.kappa)
+    return coeff, consts.A_gamma * state.mu / state.kappa
 
 
 def linearized_apply(phi: Field2D, state: Limiting2DState,
@@ -603,20 +612,14 @@ def linearized_apply(phi: Field2D, state: Limiting2DState,
 
     The coefficient vanishes outside the ground-state support, so the operator
     is the identity there.  Requires p > 1 (continuous coefficient)."""
-    if state.p <= 1.0:
-        raise RegimeError("linearized operator needs p > 1")
+    coeff, r_mean = _linearization(state)
     if phi.grid != state.field.grid:
         raise DomainError("phi must live on the state's grid")
-    profile = state.profile
-    coeff = profile.p * profile.L_gamma * np.clip(
-        state.psi - state.mu, 0.0, None) ** (profile.p - 1.0)
     gphi = potential_free_grid(phi, state.params)
     out = phi.values - coeff * gphi
     if include_mean_term:
-        consts = compute_struct_constants(state.s, state.p, L=state.L,
-                                          kappa=state.kappa)
         mean = float(np.sum(phi.values) * phi.grid.cell_area)
-        out = out + coeff * (consts.A_gamma * state.mu / state.kappa) * mean
+        out = out + coeff * r_mean * mean
     return Field2D(phi.grid, out)
 
 
@@ -646,9 +649,13 @@ def _constraint_basis(grid, mask):
     return Q
 
 
-def spectral_gap_estimate(state: Limiting2DState, collar=2, method="auto",
-                          max_cells=6000, iters=30, cg_tol=1e-8,
-                          seed=7, projection=True):
+_GAP_COLLAR = 2     # cells of collar around the coefficient's support
+_GAP_ITERS = 30     # inverse iterations of the iterative method
+_GAP_CG_TOL = 1e-8  # relative tolerance of each of its CG solves
+_GAP_SEED = 7       # seed of its random start
+
+
+def spectral_gap_estimate(state: Limiting2DState, method, max_cells=6000):
     """Minimum singular value of the linearized operator restricted to cells
     carrying its coefficient (plus a collar), projected onto
     {int phi = int x1 phi = int x2 phi = 0}.
@@ -657,77 +664,52 @@ def spectral_gap_estimate(state: Limiting2DState, collar=2, method="auto",
     "iterative" runs matrix-free inverse iteration with CG on the normal
     equations, each apply being one FFT potential evaluation.
     """
-    profile = state.profile
-    if profile.p <= 1.0:
-        raise RegimeError("spectral gap needs p > 1")
-    grid = state.field.grid
-    coeff = profile.p * profile.L_gamma * np.clip(
-        state.psi - state.mu, 0.0, None) ** (profile.p - 1.0)
-    active = coeff > 0.0
-    if not active.any():
-        # operator reduces to the identity
-        return {"gap": 1.0, "n_cells": 0, "method": method}
-    mask = binary_dilation(active, iterations=collar)
+    coeff, r_mean = _linearization(state)
+    mask = binary_dilation(coeff > 0.0, iterations=_GAP_COLLAR)
     n_cells = int(mask.sum())
-    consts = compute_struct_constants(state.s, state.p, L=state.L,
-                                      kappa=state.kappa)
-    r_mean = consts.A_gamma * state.mu / state.kappa
-    a = grid.cell_area
-
-    if method == "auto":
-        method = "dense" if n_cells <= 3000 else "iterative"
+    if n_cells == 0:
+        # the coefficient vanishes: the operator is the identity
+        return {"gap": 1.0, "n_cells": 0, "method": method}
     if method == "dense":
         if n_cells > max_cells:
             raise ResourceLimitError(
                 f"dense assembly of {n_cells} cells exceeds cap {max_cells}")
-        return _gap_dense(state, coeff, mask, r_mean, a, projection)
-    return _gap_iterative(state, coeff, mask, r_mean, a, projection,
-                          iters, cg_tol, seed, n_cells)
+        return _gap_dense(state, coeff, mask, r_mean)
+    return _gap_iterative(state, coeff, mask, r_mean, n_cells)
 
 
-def _gap_dense(state, coeff, mask, r_mean, a, projection):
+def _gap_dense(state, coeff, mask, r_mean):
     grid = state.field.grid
+    a = grid.cell_area
     X1, X2 = grid.centers()
     xs = np.column_stack([X1[mask], X2[mask]])
-    c = coeff[mask]
     n = xs.shape[0]
     d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, 1.0)
     params = state.params
     M = params.c_s * d2 ** (params.s - 1.0) * a
     np.fill_diagonal(M, singular_cell_weight(grid.h1, params))
-    K = c[:, None] * (M - r_mean * a)
-    L = np.eye(n) - K
+    L = np.eye(n) - coeff[mask][:, None] * (M - r_mean * a)
     sv_all = np.linalg.svd(L, compute_uv=False)
-    if not projection:
-        return {"gap": float(sv_all[-1]), "n_cells": n, "method": "dense",
-                "singular_values_smallest": sorted(sv_all)[:6]}
-    cols = []
-    for w in (np.ones(n), xs[:, 0], xs[:, 1]):
-        cols.append(w / np.linalg.norm(w))
-    Q, _ = np.linalg.qr(np.column_stack(cols))
-    P = np.eye(n) - Q @ Q.T
-    B = L @ P
-    sv = np.linalg.svd(B, compute_uv=False)
+    Q = _constraint_basis(grid, mask)[mask.ravel()]
+    B = L @ (np.eye(n) - Q @ Q.T)
+    sv = np.sort(np.linalg.svd(B, compute_uv=False))
     # the 3 constraint directions contribute 3 exact zeros; drop them
-    gap = float(np.sort(sv)[3])
-    return {"gap": gap, "n_cells": n, "method": "dense",
-            "singular_values_smallest": list(np.sort(sv)[:6]),
+    return {"gap": float(sv[3]), "n_cells": n, "method": "dense",
+            "singular_values_smallest": list(sv[:6]),
             "unprojected_smallest": sorted(sv_all)[:6]}
 
 
-def _gap_iterative(state, coeff, mask, r_mean, a, projection, iters,
-                   cg_tol, seed, n_cells):
+def _gap_iterative(state, coeff, mask, r_mean, n_cells):
     grid = state.field.grid
+    a = grid.cell_area
     params = state.params
-    Q = _constraint_basis(grid, mask) if projection else None
+    Q = _constraint_basis(grid, mask)
     flat_mask = mask.ravel()
 
     def project(v):
         v = v * flat_mask
-        if Q is not None:
-            v = v - Q @ (Q.T @ v)
-        return v
+        return v - Q @ (Q.T @ v)
 
     def pot(v):
         f = Field2D(grid, v.reshape(grid.ny, grid.nx))
@@ -746,14 +728,13 @@ def _gap_iterative(state, coeff, mask, r_mean, a, projection, iters,
     def apply_B(v):
         return project(apply_Lt(apply_L(project(v))))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_GAP_SEED)
     n = grid.nx * grid.ny
     v = project(rng.standard_normal(n))
     v /= np.linalg.norm(v)
     lam = None
-    for _ in range(iters):
-        z = _cg(apply_B, v, tol=cg_tol, max_iter=600, project=project)
-        z = project(z)
+    for _ in range(_GAP_ITERS):
+        z = project(_cg(apply_B, v, tol=_GAP_CG_TOL, max_iter=600))
         nz = np.linalg.norm(z)
         if nz == 0:
             break
@@ -763,7 +744,7 @@ def _gap_iterative(state, coeff, mask, r_mean, a, projection, iters,
             "method": "iterative"}
 
 
-def _cg(apply_A, b, tol, max_iter, project):
+def _cg(apply_A, b, tol, max_iter):
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()

@@ -7,7 +7,7 @@ Wcal = W eps^(3-2s).  The fixed point iterated is
     w <- (J')^{-1}((G+ w - Wcal x1 - mu)_+) * 1_disk,
 
 mu by a warm-started safeguarded Newton solve of the mass constraint,
-Steiner-symmetrized in x2 on a fixed schedule, and iterated by
+every image Steiner-symmetrized in x2 (one fixed map), and iterated by
 `limiting.constrained_ascent` with Anderson mixing and the energy-monitored
 damped step as fallback.  The converged state feeds the
 identity battery: translation stationarity in x1 (the location identity),
@@ -43,7 +43,6 @@ from .limiting import (
     LimitingSolution,
     constrained_ascent,
     radial_to_field,
-    solve_limiting,
     solve_multiplier,
     stop_floor,
 )
@@ -151,15 +150,26 @@ class PairSolution:
         }
 
 
-def pair_grid(problem: PairProblem, n, support_estimate, window_factor=6.0,
-              margin_cells=4) -> Grid2D:
-    """Square window of ~window_factor * support_estimate around the expected
-    center, clipped to the constraint ball's bounding box; x1min snapped to
-    the lattice through 0 so reflections stay cell-aligned."""
+_WINDOW_FACTOR = 6.0  # window width in limiting support radii
+_MARGIN_CELLS = 4     # cells of margin on each side of the window
+
+
+def check_window_cells(n):
+    """ParameterError unless n cells leave room inside the margins."""
+    if n <= 2 * _MARGIN_CELLS:
+        raise ParameterError(
+            f"n={n} must exceed twice the {_MARGIN_CELLS} margin cells")
+
+
+def pair_grid(problem: PairProblem, n, support_estimate) -> Grid2D:
+    """Square window of ~_WINDOW_FACTOR * support_estimate around the
+    expected center, clipped to the constraint ball's bounding box; x1min
+    snapped to the lattice through 0 so reflections stay cell-aligned."""
+    check_window_cells(n)
     cx, _ = problem.ball_center
-    w = min(0.5 * window_factor * support_estimate, problem.ball_radius)
-    h = 2.0 * w / (n - 2 * margin_cells)
-    w += margin_cells * h
+    w = min(0.5 * _WINDOW_FACTOR * support_estimate, problem.ball_radius)
+    h = 2.0 * w / (n - 2 * _MARGIN_CELLS)
+    w += _MARGIN_CELLS * h
     x1min = max(cx - w, 0.0)
     h = (cx + w - x1min) / n
     x1min = math.floor(x1min / h) * h
@@ -186,15 +196,6 @@ def energy_E_eps(field: Field2D, problem: PairProblem, psi=None) -> float:
         np.sum(problem.profile.J(np.clip(field.values, 0.0, None)))) * a
 
 
-def _energy_parts(vals, psi_free, psi_img, x1row, a, problem):
-    kin_free = float(np.sum(vals * psi_free)) * a
-    cross = float(np.sum(vals * psi_img)) * a
-    imp = float(np.sum(vals * x1row[None, :])) * a
-    jint = float(np.sum(problem.profile.J(vals))) * a
-    e = 0.5 * (kin_free - cross) - problem.speed * imp - jint
-    return e, kin_free, cross, imp, jint
-
-
 def _location_sides(field: Field2D, problem: PairProblem):
     """Two sides of the x1-translation stationarity identity: the vortex's
     mean image-induced drift lhs = -int w u2 and rhs = speed * kappa.
@@ -207,31 +208,25 @@ def _location_sides(field: Field2D, problem: PairProblem):
     return lhs, problem.speed * problem.kappa
 
 
-def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
-               tol=1e-6, max_iter=2000, damping=0.5, sym_every=5,
-               window_factor=6.0, allow_active=False, nr_limiting=256,
-               n_angles=64, init_field: Field2D = None) -> PairSolution:
+def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
+               tol=1e-6, max_iter=2000, damping=0.5, allow_active=False,
+               init_field: Field2D = None) -> PairSolution:
     """Fixed-point solve of the constrained pair problem.
 
     Initialization plants the limiting ground state at the expected center.
-    The blob position in x1 is a near-neutral mode (its restoring force is
-    the O(eps^(3-2s)) translation term), so the damped map alone relaxes it
-    hopelessly slowly; constrained_ascent's Anderson mixing removes it, with
-    the energy-monitored damped step as the safeguarded fallback.  The
-    solution's stop says whether the ascent reached its roundoff floor
-    ("floor") or stopped on a plateau above it ("plateau"), and
-    ascent_residual gives its last residual.
+    Every multiplier image is Steiner-symmetrized in x2, so Anderson mixing
+    extrapolates one fixed map.  The blob position in x1 is a near-neutral
+    mode (its restoring force is the O(eps^(3-2s)) translation term), so
+    the damped map alone relaxes it hopelessly slowly; constrained_ascent's
+    Anderson mixing removes it, with the energy-monitored damped step as
+    the safeguarded fallback.  The solution's stop says whether the ascent
+    reached its roundoff floor ("floor") or stopped on a plateau above it
+    ("plateau"), and ascent_residual gives its last residual.
 
     Raises ConstraintActiveError when the converged support touches the
     constraint ball (the asymptotic regime's red flag) unless allow_active.
     """
-    if sym_every < 1:
-        raise ParameterError(f"sym_every={sym_every} must be >= 1")
     profile, params = problem.profile, problem.params
-    if limiting is None:
-        limiting = solve_limiting(problem.s, problem.p, kappa=problem.kappa,
-                                  nr=nr_limiting, L=problem.L,
-                                  n_angles=n_angles)
     warnings = list(limiting.warnings)
     r_hat = limiting.support_radius
     if problem.ball_radius < 4.0 * r_hat:
@@ -239,14 +234,14 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
             f"ball radius {problem.ball_radius:.3g} < 4 * limiting support "
             f"{r_hat:.3g}: eps is outside the asymptotic regime")
 
-    grid = pair_grid(problem, n, r_hat, window_factor=window_factor)
+    grid = pair_grid(problem, n, r_hat)
     mask = ball_mask(grid, problem)
     a = grid.cell_area
     x1row = grid.x1_centers()
 
     if init_field is None:
-        init = radial_to_field(limiting.omega0, grid, center=problem.ball_center)
-        vals = init.values * mask
+        vals = radial_to_field(limiting.omega0, grid,
+                               center=problem.ball_center).values * mask
     else:
         if init_field.grid != grid:
             raise DomainError("init_field must live on the solver window grid")
@@ -257,8 +252,7 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         m0 = float(np.sum(vals)) * a
     vals = vals * (problem.kappa / m0)
 
-    mflat = mask.ravel()
-    meas_sub = np.full(int(mflat.sum()), a)
+    meas = np.full(mask.shape, a)
 
     def _project(w):
         w = np.clip(w, 0.0, None) * mask
@@ -273,18 +267,13 @@ def solve_pair(problem: PairProblem, n=192, limiting: LimitingSolution = None,
         psi_w = potential_halfplane_grid(f, params)
         return energy_E_eps(f, problem, psi_w), psi_w
 
-    def target(psi, mu, it, residual):
-        psi_eff = (psi - problem.speed * x1row[None, :]).ravel()[mflat]
-        mu, f_sub = solve_multiplier(psi_eff, meas_sub, profile, problem.kappa,
+    def target(psi, mu):
+        # cells outside the ball sit at -inf and are never active
+        psi_eff = np.where(mask, psi - problem.speed * x1row[None, :],
+                           -np.inf)
+        mu, f_new = solve_multiplier(psi_eff, meas, profile, problem.kappa,
                                      mu0=mu)
-        f_new = np.zeros(grid.ny * grid.nx)
-        f_new[mflat] = f_sub
-        f_new = f_new.reshape(grid.ny, grid.nx)
-        # symmetrize every iteration near convergence so the converged state
-        # is exactly its own symmetrization (the final pass becomes a no-op)
-        if it % sym_every == 0 or residual <= 10.0 * tol:
-            f_new = steiner_symmetrize_x2(Field2D(grid, f_new, True)).values
-        return mu, f_new
+        return mu, steiner_symmetrize_x2(Field2D(grid, f_new, True)).values
 
     vals, *_, residual, it = constrained_ascent(
         vals, evaluate, target, lambda v: float(np.sum(v)) * a,
@@ -314,26 +303,25 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     the solver's mu bitwise).  psi is the half-plane potential the solver
     iterates on; the image potential is the free potential minus psi."""
     params, profile = problem.params, problem.profile
-    grid = field.grid
+    grid, vals = field.grid, field.values
     a = grid.cell_area
-    x1row = grid.x1_centers()
     X1, X2 = grid.centers()
     mask = ball_mask(grid, problem)
     psi = potential_halfplane_grid(field, params)
     psi_free = potential_free_grid(field, params)
     psi_img = psi_free - psi
-    psi_eff = (psi - problem.speed * X1).ravel()[mask.ravel()]
-    mu, f_sub = solve_multiplier(psi_eff, np.full(int(mask.sum()), a),
-                                 profile, problem.kappa)
-    f_new = np.zeros(grid.ny * grid.nx)
-    f_new[mask.ravel()] = f_sub
-    residual = float(np.sum(np.abs(f_new.reshape(grid.ny, grid.nx)
-                                   - field.values))) * a / problem.kappa
-    energy, kin_free, cross, imp, jint = _energy_parts(
-        field.values, psi_free, psi_img, x1row, a, problem)
-    com1 = float(np.sum(field.values * X1)) * a / problem.kappa
-    com2 = float(np.sum(field.values * X2)) * a / problem.kappa
-    supp = field.values > 1e-12 * field.values.max()
+    psi_eff = np.where(mask, psi - problem.speed * X1, -np.inf)
+    mu, f_new = solve_multiplier(psi_eff, np.full(mask.shape, a), profile,
+                                 problem.kappa)
+    residual = float(np.sum(np.abs(f_new - vals))) * a / problem.kappa
+    kin_free = float(np.sum(vals * psi_free)) * a
+    cross = float(np.sum(vals * psi_img)) * a
+    imp = float(np.sum(vals * X1)) * a
+    jint = float(np.sum(profile.J(vals))) * a
+    energy = 0.5 * (kin_free - cross) - problem.speed * imp - jint
+    com1 = imp / problem.kappa
+    com2 = float(np.sum(vals * X2)) * a / problem.kappa
+    supp = vals > 1e-12 * vals.max()
     cx, cy = problem.ball_center
     rr = np.hypot(X1 - cx, X2 - cy)
     clearance = problem.ball_radius - (float(rr[supp].max()) if supp.any()
@@ -537,12 +525,11 @@ def desingularization_check(solutions) -> dict:
 # rearrangement-class ascent
 
 
-def rearrangement_energy(field: Field2D, problem: PairProblem) -> float:
-    """Kinetic-minus-impulse functional (no J term): the objective of the
-    rearrangement-class maximization."""
-    psi = potential_halfplane_grid(field, problem.params)
-    a = field.grid.cell_area
-    return 0.5 * float(np.sum(field.values * psi)) * a \
+def rearrangement_energy(field: Field2D, problem: PairProblem, psi) -> float:
+    """Kinetic-minus-impulse functional (no J term) of a field whose
+    half-plane potential is psi: the objective of the rearrangement-class
+    maximization."""
+    return 0.5 * float(np.sum(field.values * psi)) * field.grid.cell_area \
         - problem.speed * impulse(field)
 
 
@@ -558,28 +545,28 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
         raise DomainError("rearrangement ascent needs a nonnegative reference")
     params = problem.params
     g = reference.grid
-    a = g.cell_area
     x1row = g.x1_centers()
     ref_sorted = np.sort(reference.values, axis=None)[::-1]
     zeta = (reference if start is None else start).copy()
     if start is not None and (start.grid != g or not
                               rearrangement_equimeasurable(reference, start)):
         raise DomainError("start must be a rearrangement of the reference")
-    trace = [rearrangement_energy(zeta, problem)]
+    # one potential per step: an accepted iterate's energy and its next
+    # step share it
+    psi = potential_halfplane_grid(zeta, params)
+    trace = [rearrangement_energy(zeta, problem, psi)]
     stalled = True
     for _ in range(max_iter):
-        psi = (potential_halfplane_grid(zeta, params)
-               - problem.speed * x1row[None, :])
-        order = np.argsort(-psi.ravel(), kind="stable")
+        order = np.argsort(-(psi - problem.speed * x1row[None, :]).ravel(),
+                           kind="stable")
         new_vals = np.empty(g.ny * g.nx)
         new_vals[order] = ref_sorted
         new = Field2D(g, new_vals.reshape(g.ny, g.nx), nonneg=True)
-        e_new = rearrangement_energy(new, problem)
         if np.array_equal(new.values, zeta.values):
             stalled = False
             break
-        zeta = new
-        trace.append(e_new)
+        zeta, psi = new, potential_halfplane_grid(new, params)
+        trace.append(rearrangement_energy(zeta, problem, psi))
         if len(trace) > 2 and abs(trace[-1] - trace[-2]) <= stall_tol * max(
                 1.0, abs(trace[-2])):
             stalled = False
@@ -642,8 +629,9 @@ def truncation_gain(sol: PairSolution) -> dict:
     supp = sol.omega.values > 1e-12 * sol.omega.values.max()
     truncated = sol.omega.copy()
     truncated.values[neg] = 0.0
-    e_full = rearrangement_energy(sol.omega, pb)
-    e_trunc = rearrangement_energy(truncated, pb)
+    e_full, e_trunc = (
+        rearrangement_energy(f, pb, potential_halfplane_grid(f, pb.params))
+        for f in (sol.omega, truncated))
     bad_cells = int(np.sum(supp & ((psi_t - sol.mu) < -1e-10 * abs(sol.mu))))
     return {
         "energy_full": e_full,

@@ -88,14 +88,26 @@ class TestUsage:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_sym_every_exits_usage(self, tmp_path, capsys):
+    def test_window_too_small_exits_usage(self, tmp_path, capsys):
+        # n = 8 leaves no cell inside the window's margins: caught before
+        # the limiting stage, so no partial run directory is left
         out = tmp_path / "o"
         code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
-                    "--W", 1, "--L", REGIME_L, "--eps", "0.2", "--n", "32",
-                    "--sym-every", 0, "--out", out] + FAST)
+                    "--W", 1, "--L", REGIME_L, "--eps", "0.2", "--n", "8",
+                    "--out", out] + FAST)
         assert code == 1
-        assert "error: sym_every=0" in capsys.readouterr().err
+        assert "error: n=8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_keys_and_flags_agree(self):
+        # every config key is some command's flag and every flag a config
+        # key, so a knob removed on one side cannot linger on the other
+        from gsqg.cli import _CONFIG_KEYS, _build_parser
+
+        sub = next(a for a in _build_parser()._actions
+                   if a.dest == "command")
+        dests = {a.dest for p in sub.choices.values() for a in p._actions}
+        assert dests - {"config", "help"} == set(_CONFIG_KEYS)
 
     def test_bad_eps_exits_before_any_solve(self, tmp_path, capsys):
         # the bad second eps is caught before the limiting stage and the

@@ -367,7 +367,7 @@ class TestConstrainedAscent:
         M = ring_potential_matrix(r, r, dr, params, n_angles=48)
         x0 = np.where(r < 0.2, 1.0, 0.0)
         x0 /= float(np.sum(meas * x0))
-        calls = []
+        residuals = []
 
         def evaluate(x):
             psi = M @ x
@@ -375,29 +375,30 @@ class TestConstrainedAscent:
                 - float(np.sum(meas * prof.J(x)))
             return e, psi
 
-        def target(psi, mu, it, residual):
-            calls.append((it, residual))
-            return solve_multiplier(psi, meas, prof, 1.0, mu0=mu)
+        def mass(v):
+            # the ascent measures only |f - x|, once per iteration, so with
+            # kappa = 1 the recorded masses are the residuals
+            residuals.append(float(np.sum(meas * v)))
+            return residuals[-1]
 
         def run(**kw):
-            calls.clear()
+            residuals.clear()
             return constrained_ascent(
-                x0, evaluate, target, lambda v: float(np.sum(meas * v)),
-                kappa=1.0, damping=0.5, anderson=False, **kw)
+                x0, evaluate,
+                lambda psi, mu: solve_multiplier(psi, meas, prof, 1.0, mu0=mu),
+                mass, kappa=1.0, damping=0.5, anderson=False, **kw)
 
-        return run, calls
+        return run, residuals
 
     def test_plain_run_stops_at_first_residual_below_tol(self):
-        run, calls = self._radial()
+        run, residuals = self._radial()
         tol = 1e-6
         x, psi, mu, energy, residual, iters = run(tol=tol, max_iter=2000)
-        assert residual <= tol
-        # one target call per iteration; each call sees the residual of the
-        # iteration before, and every earlier residual was above tol
-        assert [it for it, _ in calls] == list(range(1, iters + 1))
-        assert calls[0][1] == math.inf
-        assert all(res > tol for _, res in calls[1:])
-        last_above = calls[-1][1]
+        # one residual per iteration; the last is the first <= tol
+        assert len(residuals) == iters
+        assert residual == residuals[-1] <= tol
+        assert all(res > tol for res in residuals[:-1])
+        last_above = residuals[-2]
         with pytest.raises(ConvergenceError) as exc:
             run(tol=tol, max_iter=iters - 1)
         assert exc.value.iterations == iters - 1
@@ -410,7 +411,7 @@ class TestConstrainedAscent:
         script = iter(residuals)
         return constrained_ascent(
             np.linspace(1.0, 2.0, 7), lambda x: (0.0, x),
-            lambda psi, mu, it, residual: (0.0, 0.5 * psi),
+            lambda psi, mu: (0.0, 0.5 * psi),
             lambda v: next(script), kappa=1.0, damping=0.5, anderson=True,
             **kw)
 
@@ -419,15 +420,15 @@ class TestConstrainedAscent:
         x0 = np.linspace(1.0, 2.0, 7)
         calls = []
 
-        def target(psi, mu, it, residual):
-            calls.append(it)
+        def target(psi, mu):
+            calls.append(mu)
             return 0.0, x0.copy()
 
         out = constrained_ascent(
             x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
             kappa=1.0, tol=1e-6, max_iter=100, damping=0.5, anderson=True)
         np.testing.assert_array_equal(out[0], x0)
-        assert out[4] == 0.0 and out[5] == 1 and calls == [1]
+        assert out[4] == 0.0 and out[5] == 1 and calls == [None]
         # residuals <= tol but above the floor do not stop the run
         out = self._scripted([1e-3, 1e-7, 1e-10, 1e-12, 0.0], tol=1e-6,
                              max_iter=100)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsqg.errors import DomainError
+from gsqg.errors import DomainError, ParameterError
 from gsqg.fields import (
     Field2D,
     mass,
@@ -10,7 +10,7 @@ from gsqg.fields import (
     rearrangement_equimeasurable,
     write_field,
 )
-from gsqg.limiting import _RESIDUAL_FLOOR, radial_to_field
+from gsqg.limiting import _RESIDUAL_FLOOR, radial_to_field, solve_limiting
 from gsqg.pair import (
     ConstraintActiveError,
     PairProblem,
@@ -58,6 +58,14 @@ class TestProblemGeometry:
         assert g.x1min >= 0.0
         k = g.x1min / g.h1
         assert abs(k - round(k)) < 1e-9
+
+    def test_window_needs_cells_inside_its_margins(self):
+        # 4 margin cells on each side: n = 8 leaves none inside
+        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        with pytest.raises(ParameterError):
+            pair_grid(pb, 8, support_estimate=0.12)
+        assert pair_grid(pb, 9, support_estimate=0.12).nx == 9
+
 
 
 class TestEnergy:
@@ -197,6 +205,16 @@ class TestSolvePair:
                            init_field=Field2D(grid, nudged))
         assert again.stop == "floor"
         assert abs(again.d_eps / sol.d_eps - 1.0) <= 1e-9
+
+    def test_small_eps_reaches_the_floor(self):
+        # solve-pair's default limiting state: with every multiplier image
+        # symmetrized, eps 0.08 at n=192 stops at the floor; a map that
+        # symmetrized only on a schedule stopped there on a plateau (2.7e-7)
+        lim = solve_limiting(0.5, 1.5, kappa=1.0, L=REGIME_L, nr=256)
+        pb = PairProblem(s=0.5, p=1.5, eps=0.08, L=REGIME_L)
+        sol = solve_pair(pb, lim, n=192)
+        assert sol.stop == "floor"
+        assert sol.ascent_residual <= _RESIDUAL_FLOOR
 
     def test_constraint_active_diagnosed_at_canonical_parameters(
             self, limiting_canonical):
