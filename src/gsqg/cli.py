@@ -268,13 +268,10 @@ def cmd_solve_pair(cfg):
         except ConstraintActiveError as exc:
             sys.stderr.write(f"eps={eps}: {exc}\n")
             if exc.solution is not None:
-                rep = exc.solution.report()
-                rep["constraint_active"] = True
-                run.write_json(f"pair_eps{tag}.json", rep)
+                run.write_json(f"pair_eps{tag}.json", exc.solution.report())
             status = EXIT_NOCONV
             continue
         rep = sol.report()
-        rep["constraint_active"] = sol.ball_clearance <= 2 * sol.omega.grid.h1
         rep["warnings"] = sol.warnings
         run.write_json(f"pair_eps{tag}.json", rep)
         name = f"omega_eps{tag}.field"

@@ -60,21 +60,14 @@ class Grid2D:
         X1, X2 = np.meshgrid(self.x1_centers(), self.x2_centers())
         return X1, X2
 
-    def same_spacing(self, other, tol=_ALIGN_TOL):
-        return (
-            abs(self.h1 - other.h1) <= tol * self.h1
-            and abs(self.h2 - other.h2) <= tol * self.h2
-        )
-
-    def aligned_with(self, other, tol=_ALIGN_TOL):
+    def aligned_with(self, other):
         """Same spacing and cell centers on a common lattice."""
-        if not self.same_spacing(other, tol):
-            return False
         d1 = (self.x1min - other.x1min) / self.h1
         d2 = (self.x2min - other.x2min) / self.h2
-        return (
-            abs(d1 - round(d1)) <= tol and abs(d2 - round(d2)) <= tol
-        )
+        return (abs(self.h1 - other.h1) <= _ALIGN_TOL * self.h1
+                and abs(self.h2 - other.h2) <= _ALIGN_TOL * self.h2
+                and abs(d1 - round(d1)) <= _ALIGN_TOL
+                and abs(d2 - round(d2)) <= _ALIGN_TOL)
 
 
 @dataclass
@@ -342,18 +335,16 @@ def _weighted_l1_x1(f: Field2D) -> float:
     return float(np.sum(np.abs(f.values) * np.abs(x1)[None, :]) * f.grid.cell_area)
 
 
-def orbital_distance(xi: Field2D, omega: Field2D, c_min, c_max, step=None):
+def orbital_distance(xi: Field2D, omega: Field2D, c_min, c_max):
     """Minimum over x2-shifts c of ||xi - omega(.+c e2)||_1 + ||.||_2
-    + ||x1 (.)||_1, with a parabolic sub-grid refinement around the coarse
-    minimizer.  Returns (distance, best c)."""
+    + ||x1 (.)||_1 over shifts one cell apart, with a parabolic sub-grid
+    refinement around the coarse minimizer.  Returns (distance, best c)."""
     if c_max < c_min:
         raise ParameterError("empty shift range")
     g = union_grid(xi.grid, omega.grid)
     xi_e = embed(xi, g)
     om_e = embed(omega, g)
-    h2 = g.h2
-    if step is None:
-        step = h2
+    step = g.h2
     cs = list(np.arange(c_min, c_max + 0.5 * step, step))
     if c_min <= 0.0 <= c_max:
         cs.append(0.0)

@@ -102,9 +102,11 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
 # ---------------------------------------------------------------------------
 # multiplier: safeguarded Newton on the mass (shared with the pair solver)
 
+_MASS_TOL = 1e-12        # relative mass mismatch at which the multiplier stops
+_MULTIPLIER_ITERS = 220  # evaluations before it returns its last mu
 
-def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None,
-                     mass_tol=1e-12, max_iter=220):
+
+def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None):
     """Find mu with sum measures * (J')^{-1}((psi_eff - mu)_+) = kappa.
 
     The mass m(mu) is continuous and strictly decreasing below max psi_eff,
@@ -139,10 +141,10 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None,
     span = max(hi, 1.0)
     n_expand = 0
     steps = [math.inf, math.inf]  # the last two step lengths
-    for _ in range(max_iter):
+    for _ in range(_MULTIPLIER_ITERS):
         mu = nxt
         m, slope, active, w = mass_at(mu)
-        if abs(m - kappa) <= mass_tol * kappa:
+        if abs(m - kappa) <= _MASS_TOL * kappa:
             break
         if m > kappa:
             lo = mu
@@ -526,6 +528,8 @@ def _multiplier_residuals(sol: LimitingSolution) -> dict:
 # ---------------------------------------------------------------------------
 # 2D export and the linearized operator
 
+_BOX_FACTOR = 1.45  # half-width of the 2D box in limiting support radii
+
 
 @dataclass
 class Limiting2DState:
@@ -561,16 +565,14 @@ def radial_to_field(radial: RadialField, grid: Grid2D,
     return Field2D(grid, vals, nonneg=True)
 
 
-def to_state_2d(sol: LimitingSolution, n, box_halfwidth=None,
-                polish_iters=200, polish_tol=1e-8) -> Limiting2DState:
+def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
+                polish_tol=1e-8) -> Limiting2DState:
     """Resample the radial ground state onto an n x n grid and polish it with
     the same monitored fixed point so the 2D discrete EL equation holds.
     Raises ConvergenceError when polish_iters iterations do not reach
     polish_tol."""
-    if box_halfwidth is None:
-        box_halfwidth = 1.45 * sol.support_radius
-    grid = Grid2D(n, n, -box_halfwidth, box_halfwidth,
-                  -box_halfwidth, box_halfwidth)
+    w = _BOX_FACTOR * sol.support_radius
+    grid = Grid2D(n, n, -w, w, -w, w)
     f = radial_to_field(sol.omega0, grid)
     profile, params, kappa = sol.profile, sol.params, sol.kappa
     a = grid.cell_area

@@ -106,7 +106,7 @@ class PairSolution:
     problem: PairProblem
     omega: Field2D
     psi_free: np.ndarray
-    psi_image: np.ndarray
+    psi_halfplane: np.ndarray  # the half-plane potential G+ w
     mu: float
     x_center: tuple
     d_eps: float
@@ -126,8 +126,13 @@ class PairSolution:
     warnings: list = dc_field(default_factory=list)
 
     @property
-    def psi_halfplane(self):
-        return self.psi_free - self.psi_image
+    def psi_image(self):
+        return self.psi_free - self.psi_halfplane
+
+    @property
+    def constraint_active(self):
+        """Whether the support comes within two cells of the ball."""
+        return self.ball_clearance <= 2.0 * self.omega.grid.h1
 
     def report(self):
         pb = self.problem
@@ -147,6 +152,7 @@ class PairSolution:
             "converged": self.converged,
             "stop": self.stop,
             "ascent_residual": self.ascent_residual,
+            "constraint_active": self.constraint_active,
         }
 
 
@@ -288,7 +294,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
     sol.stop = "floor" if residual <= stop_floor(tol) else "plateau"
     sol.ascent_residual = residual
     sol.warnings = warnings
-    if sol.ball_clearance <= 2.0 * grid.h1 and not allow_active:
+    if sol.constraint_active and not allow_active:
         raise ConstraintActiveError(
             f"support reaches within {sol.ball_clearance:.3g} "
             f"(< 2h = {2 * grid.h1:.3g}) of the constraint ball: eps too "
@@ -309,13 +315,12 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     mask = ball_mask(grid, problem)
     psi = potential_halfplane_grid(field, params)
     psi_free = potential_free_grid(field, params)
-    psi_img = psi_free - psi
     psi_eff = np.where(mask, psi - problem.speed * X1, -np.inf)
     mu, f_new = solve_multiplier(psi_eff, np.full(mask.shape, a), profile,
                                  problem.kappa)
     residual = float(np.sum(np.abs(f_new - vals))) * a / problem.kappa
     kin_free = float(np.sum(vals * psi_free)) * a
-    cross = float(np.sum(vals * psi_img)) * a
+    cross = float(np.sum(vals * (psi_free - psi))) * a
     imp = float(np.sum(vals * X1)) * a
     jint = float(np.sum(profile.J(vals))) * a
     energy = 0.5 * (kin_free - cross) - problem.speed * imp - jint
@@ -330,7 +335,7 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     support_radius = float(rr_com[supp].max() + 0.5 * grid.h1) if supp.any() \
         else 0.0
     sol = PairSolution(
-        problem=problem, omega=field, psi_free=psi_free, psi_image=psi_img,
+        problem=problem, omega=field, psi_free=psi_free, psi_halfplane=psi,
         mu=mu, x_center=(com1, com2), d_eps=problem.eps * com1,
         E_eps=energy, E0_part=0.5 * kin_free - jint,
         kinetic_free=kin_free, cross_image=cross, j_integral=jint,
@@ -466,17 +471,19 @@ def weak_form_battery(sol: PairSolution):
 
 
 def weak_form_residual(sol: PairSolution, battery=None) -> dict:
-    """Normalized residuals of int w_tr grad^perp(psi - speed*x1) . grad(phi)
-    over the full plane, for each test function phi.
+    """Normalized residuals of int w_tr v . grad(phi), v = grad^perp(psi -
+    speed*x1), over the full plane for each test function phi; w_tr is the
+    odd extension of w, whose free potential psi is sol.psi_halfplane.
 
-    The potential gradient uses centered differences of the free-space
-    potential of the oddified field; the normalization is
-    ||w||_1 * ||grad^perp psi_eff||_inf * ||grad phi||_inf."""
+    Folded onto the window (at the mirror cell xbar, w_tr = -w, v1 = -v1(x),
+    v2 = v2(x)), the sum is sum w [v1 (g1(x) + g1(xbar)) + v2 (g2(x) -
+    g2(xbar))].  v takes centered differences of psi, so w must vanish on
+    the window's outer ring of cells (the margin cells and the ball mask
+    ensure it for solver output).  The normalization is ||w_tr||_1 = 2
+    ||w||_1 times max|v| and max|grad phi| over the window and its mirror."""
     pb = sol.problem
-    params = pb.params
-    w_tr = reflect_oddify(sol.omega)
-    g = w_tr.grid
-    psi = potential_free_grid(w_tr, params)
+    g = sol.omega.grid
+    psi = sol.psi_halfplane
     h1, h2 = g.h1, g.h2
     # grad^perp(psi - speed*x1) = (d2 psi, -d1 psi + speed)
     v1 = np.zeros_like(psi)
@@ -486,15 +493,17 @@ def weak_form_residual(sol: PairSolution, battery=None) -> dict:
     v2 += pb.speed
     X1, X2 = g.centers()
     a = g.cell_area
-    l1 = float(np.sum(np.abs(w_tr.values))) * a
-    vmax = float(np.max(np.hypot(v1, v2)))
+    w = sol.omega.values
+    l1 = 2.0 * float(np.sum(np.abs(w))) * a
+    vmax = float(np.max(np.hypot(v1, v2)))  # |v| is even in x1
     if battery is None:
         battery = weak_form_battery(sol)
     out = {}
     for name, phi, grad in battery:
         g1, g2 = grad(X1, X2)
-        integral = float(np.sum(w_tr.values * (v1 * g1 + v2 * g2))) * a
-        gmax = float(np.max(np.hypot(g1, g2)))
+        m1, m2 = grad(-X1, X2)
+        integral = float(np.sum(w * (v1 * (g1 + m1) + v2 * (g2 - m2)))) * a
+        gmax = float(max(np.max(np.hypot(g1, g2)), np.max(np.hypot(m1, m2))))
         denom = l1 * vmax * gmax
         out[name] = abs(integral) / denom if denom > 0 else 0.0
     return out
@@ -524,6 +533,8 @@ def desingularization_check(solutions) -> dict:
 # ---------------------------------------------------------------------------
 # rearrangement-class ascent
 
+_STALL_TOL = 1e-12  # relative energy change at which the ascent stops
+
 
 def rearrangement_energy(field: Field2D, problem: PairProblem, psi) -> float:
     """Kinetic-minus-impulse functional (no J term) of a field whose
@@ -534,8 +545,7 @@ def rearrangement_energy(field: Field2D, problem: PairProblem, psi) -> float:
 
 
 def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
-                                      start: Field2D = None, max_iter=500,
-                                      stall_tol=1e-12):
+                                      start: Field2D = None, max_iter=500):
     """Ascent over rearrangements of `reference`: each step assigns the
     reference's sorted values to the cells sorted by the current transported
     stream function psi = G+ zeta - speed*x1 (descending, ties by cell
@@ -567,7 +577,7 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
             break
         zeta, psi = new, potential_halfplane_grid(new, params)
         trace.append(rearrangement_energy(zeta, problem, psi))
-        if len(trace) > 2 and abs(trace[-1] - trace[-2]) <= stall_tol * max(
+        if len(trace) > 2 and abs(trace[-1] - trace[-2]) <= _STALL_TOL * max(
                 1.0, abs(trace[-2])):
             stalled = False
             break
@@ -629,9 +639,9 @@ def truncation_gain(sol: PairSolution) -> dict:
     supp = sol.omega.values > 1e-12 * sol.omega.values.max()
     truncated = sol.omega.copy()
     truncated.values[neg] = 0.0
-    e_full, e_trunc = (
-        rearrangement_energy(f, pb, potential_halfplane_grid(f, pb.params))
-        for f in (sol.omega, truncated))
+    e_full = rearrangement_energy(sol.omega, pb, sol.psi_halfplane)
+    e_trunc = rearrangement_energy(
+        truncated, pb, potential_halfplane_grid(truncated, pb.params))
     bad_cells = int(np.sum(supp & ((psi_t - sol.mu) < -1e-10 * abs(sol.mu))))
     return {
         "energy_full": e_full,

@@ -348,6 +348,22 @@ class TestEvolveCmd:
         for name in ("evolve.json", "stability.csv"):
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes())
+        # the pair solve: limiting stage, both eps and their fields
+        workers.clear()
+        pairs = []
+        for threads in (1, 2):
+            out = tmp_path / f"pair_threads{threads}"
+            code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                        "--W", 1, "--L", REGIME_L, "--eps", "0.2,0.1",
+                        "--n", "64", "--threads", threads, "--out", out]
+                       + FAST)
+            assert code == 0
+            pairs.append(out)
+        assert workers == {1, 2}
+        for name in ("limiting.json", "pair_eps0p2.json", "pair_eps0p1.json",
+                     "omega_eps0p2.field", "omega_eps0p1.field"):
+            assert ((pairs[0] / name).read_bytes()
+                    == (pairs[1] / name).read_bytes()), name
 
 
 class TestRunChain:

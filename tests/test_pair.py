@@ -8,8 +8,10 @@ from gsqg.fields import (
     orbital_distance,
     read_field,
     rearrangement_equimeasurable,
+    reflect_oddify,
     write_field,
 )
+from gsqg.kernels import potential_free_grid
 from gsqg.limiting import _RESIDUAL_FLOOR, radial_to_field, solve_limiting
 from gsqg.pair import (
     ConstraintActiveError,
@@ -27,10 +29,37 @@ from gsqg.pair import (
     solve_pair,
     steiner_asymmetry,
     truncation_gain,
+    weak_form_battery,
     weak_form_residual,
 )
 
 from conftest import EPS_SET, REGIME_L
+
+
+def _weak_form_full_plane(sol, battery):
+    """Reference: the weak form on the full-plane grid of the odd extension
+    (window, wall gap and their mirror image), with the free potential of
+    the oddified field and maxima over that whole grid."""
+    pb = sol.problem
+    w_tr = reflect_oddify(sol.omega)
+    g = w_tr.grid
+    psi = potential_free_grid(w_tr, pb.params)
+    v1 = np.zeros_like(psi)
+    v2 = np.zeros_like(psi)
+    v1[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2 * g.h2)
+    v2[:, 1:-1] = -(psi[:, 2:] - psi[:, :-2]) / (2 * g.h1)
+    v2 += pb.speed
+    X1, X2 = g.centers()
+    a = g.cell_area
+    l1 = float(np.sum(np.abs(w_tr.values))) * a
+    vmax = float(np.max(np.hypot(v1, v2)))
+    out = {}
+    for name, phi, grad in battery:
+        g1, g2 = grad(X1, X2)
+        integral = float(np.sum(w_tr.values * (v1 * g1 + v2 * g2))) * a
+        gmax = float(np.max(np.hypot(g1, g2)))
+        out[name] = abs(integral) / (l1 * vmax * gmax)
+    return out
 
 
 class TestProblemGeometry:
@@ -261,6 +290,24 @@ class TestSolvePair:
         np.testing.assert_allclose(rebuild_solution(pb, f).psi_image,
                                    direct.reshape(g.ny, g.nx), rtol=1e-10)
 
+    def test_rebuild_keeps_the_solver_potential(self):
+        # psi_halfplane is the solver's G+ w itself, not free minus image,
+        # and the whole battery transforms on the window grid only
+        from gsqg.kernels import _spectra, potential_halfplane_grid
+
+        rng = np.random.default_rng(7)
+        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        g = pair_grid(pb, 16, support_estimate=0.12)
+        vals = rng.random((g.ny, g.nx)) * ball_mask(g, pb)
+        f = Field2D(g, vals / (np.sum(vals) * g.cell_area), nonneg=True)
+        _spectra.cache_clear()
+        sol = rebuild_solution(pb, f)
+        assert _spectra.cache_info().currsize == 1
+        np.testing.assert_array_equal(sol.psi_halfplane,
+                                      potential_halfplane_grid(f, pb.params))
+        np.testing.assert_array_equal(sol.psi_image,
+                                      sol.psi_free - sol.psi_halfplane)
+
 
 class TestAsymptotics:
     def test_d_eps_rate(self, pair_regime):
@@ -336,6 +383,37 @@ class TestWeakForm:
                     lambda X1, X2: (np.zeros_like(X1), np.zeros_like(X1)))]
         res = weak_form_residual(sol, battery=battery)
         assert res["const"] == 0.0
+
+    @pytest.mark.parametrize("eps", EPS_SET)
+    def test_window_route_matches_full_plane(self, pair_regime, eps,
+                                             monkeypatch):
+        # the odd symmetry folded onto the window reproduces the full-plane
+        # sum, and reads the solver's potential without a transform.  The
+        # default battery barely reaches the mirror image; x1*x2 weighs both
+        # halves, and its gradient peaks at the window's outer corners.
+        import gsqg.kernels
+
+        sol = pair_regime[eps]
+        product = [("product_x1x2", lambda X1, X2: X1 * X2,
+                    lambda X1, X2: (X2, X1))]
+        ref = _weak_form_full_plane(sol, weak_form_battery(sol) + product)
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("rfft2", "irfft2"):
+            monkeypatch.setattr(gsqg.kernels, name,
+                                spy(getattr(gsqg.kernels, name)))
+        res = weak_form_residual(sol)
+        res.update(weak_form_residual(sol, battery=product))
+        assert calls == []
+        assert res.keys() == ref.keys()
+        for name, val in res.items():
+            assert val == pytest.approx(ref[name], rel=1e-6, abs=1e-15), name
 
 
 class TestRearrangementAscent:
