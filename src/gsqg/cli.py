@@ -29,6 +29,36 @@ _CONFIG_KEYS = {
     "tol_steiner": float, "tol_fixed_point": float, "tol_bracket": float,
 }
 
+# The config keys each command reads, one flag each.  A config file may
+# carry other commands' keys; _merge drops them, so the manifest records
+# only what the command used.
+_LIMITING_KEYS = ("out", "s", "p", "kappa", "L", "nr", "n_angles", "tol",
+                  "max_iter", "damping", "threads")
+_COMMAND_KEYS = {
+    "solve-limiting": _LIMITING_KEYS,
+    "solve-pair": _LIMITING_KEYS + ("W", "eps", "n", "allow_active"),
+    "verify": ("out", "run", "threads", "tol_fixed_point", "tol_location",
+               "tol_multiplier", "tol_weak_form", "tol_steiner",
+               "tol_bracket"),
+    "evolve": ("out", "run", "threads", "seed", "dt", "T", "cfl",
+               "diag_every", "snapshot_every", "perturb"),
+    "rearrange": ("out", "run", "threads", "shift_cells"),
+    "report": ("out", "run"),
+}
+# no argparse defaults: a flag left out must not override the config file
+# (_merge applies these defaults first, on the commands that read them)
+_DEFAULTS = {"seed": 0, "threads": 1}
+_FLAG_OPTS = {
+    "out": {"help": "output directory"},
+    "run": {"help": "existing run directory to read"},
+    "eps": {"help": "comma-separated list"},
+    "allow_active": {"action": "store_const", "const": 1},
+    "perturb": {"action": "append",
+                "help": "kind[:amplitude[:seed]]; repeatable"},
+    "seed": {"type": int, "help": "(default 0)"},
+    "threads": {"type": int, "help": "FFT and BLAS threads (default 1)"},
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -38,50 +68,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """One subparser per command, with one flag per key of its
+    _COMMAND_KEYS row: --max-iter sets max_iter."""
     ap = _Parser(prog="gsqg", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def typed(p, keys):
-        """One flag per config key, of its type: --max-iter sets max_iter."""
-        for k in keys:
-            p.add_argument("--" + k.replace("_", "-"), dest=k,
-                           type=_CONFIG_KEYS[k])
-
-    def common(p, model=True):
+    for command, (_, help_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--run", help="existing run directory to read")
-        # no argparse defaults: a flag left out must not override the
-        # config file (_merge fills the defaults in last)
-        p.add_argument("--seed", type=int, help="(default 0)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for the FFTs and the BLAS "
-                            "(default 1)")
-        if model:
-            p.add_argument("--eps", help="comma-separated list")
-            typed(p, ("s", "p", "kappa", "W", "L", "n", "nr", "n_angles",
-                      "tol", "max_iter", "damping"))
-            p.add_argument("--allow-active", dest="allow_active",
-                           action="store_const", const=1)
-
-    p = sub.add_parser("solve-limiting", help="whole-plane ground state")
-    common(p)
-    p = sub.add_parser("solve-pair", help="half-plane traveling pair")
-    common(p)
-    p = sub.add_parser("verify", help="identity battery on a solved run")
-    common(p)
-    typed(p, ("tol_location", "tol_multiplier", "tol_weak_form",
-              "tol_steiner", "tol_fixed_point", "tol_bracket"))
-    p = sub.add_parser("evolve", help="transport evolution of a solved pair")
-    common(p)
-    typed(p, ("dt", "T", "cfl", "diag_every", "snapshot_every"))
-    p.add_argument("--perturb", action="append",
-                   help="kind[:amplitude[:seed]]; repeatable")
-    p = sub.add_parser("rearrange", help="rearrangement-class ascent")
-    common(p)
-    typed(p, ("shift_cells",))
-    p = sub.add_parser("report", help="aggregate a run directory")
-    common(p, model=False)
+        for k in _COMMAND_KEYS[command]:
+            p.add_argument("--" + k.replace("_", "-"), dest=k,
+                           **_FLAG_OPTS.get(k, {"type": _CONFIG_KEYS[k]}))
     return ap
 
 
@@ -107,25 +103,21 @@ def _load_config(path):
 
 
 def _merge(args):
-    """Config file values overridden by explicit flags, then the defaults
-    of the keys every command carries."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(_load_config(args.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
+    """The command's keys: _DEFAULTS, overridden by the config file,
+    overridden by explicit flags.  Other commands' keys are dropped."""
+    keys = _COMMAND_KEYS[args.command]
+    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys}
+    if args.config:
+        cfg.update((k, v) for k, v in _load_config(args.config).items()
+                   if k in keys)
+    cfg.update((k, getattr(args, k)) for k in keys
+               if getattr(args, k) is not None)
     return cfg
 
 
 def _eps_list(cfg):
     raw = cfg.get("eps", "0.2,0.1,0.05")
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    return [float(t) for t in str(raw).split(",") if t.strip()]
+    return [float(t) for t in raw.split(",") if t.strip()]
 
 
 class RunDir:
@@ -134,8 +126,8 @@ class RunDir:
     The manifest holds only deterministic content.  The wall time of each
     command run into the directory goes to timings.json, which the manifest
     lists.  With extend, a manifest already in the directory is kept: its
-    files, stages and config values (the solved state's, which later stages
-    read back) stay, and this run adds its own; timings.json keeps the
+    files, stages and config values (the earlier command's win) stay, and
+    this run adds its own; timings.json keeps the
     earlier commands' times the same way.  The solve commands start afresh;
     the commands that read a run extend it.
     """
@@ -164,16 +156,13 @@ class RunDir:
         with open(full + ".tmp", "w") as fh:
             fh.write(text)
         os.replace(full + ".tmp", full)
-        return full
 
     def write_json(self, name, obj):
-        return self.write_text(
-            name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def write_text(self, name, text):
-        full = self._write_atomic(name, text)
+        self._write_atomic(name, text)
         self.files.append(name)
-        return full
 
     def add_file(self, name):
         self.files.append(name)
@@ -198,18 +187,6 @@ def _require(cfg, keys):
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-def _validate_profile(cfg):
-    s, p = cfg["s"], cfg["p"]
-    if not 0 < s < 1:
-        raise ValueError(f"s={s} must lie in (0, 1)")
-    if p <= 0:
-        raise ValueError(f"p={p} must be positive")
-    if p >= 1.0 / (1.0 - s):
-        raise ValueError(
-            f"p={p} violates the profile growth bound p < 1/(1-s) = "
-            f"{1.0 / (1.0 - s):.6g}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -225,8 +202,9 @@ def _solve_limiting(cfg):
 
 
 def cmd_solve_limiting(cfg):
+    from .limiting import check_profile
     _require(cfg, ["s", "p", "kappa", "out"])
-    _validate_profile(cfg)
+    check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
     run = RunDir(cfg["out"], cfg, "solve-limiting")
     sol = _solve_limiting(cfg)
     run.write_json("limiting.json", sol.report())
@@ -241,12 +219,13 @@ def cmd_solve_limiting(cfg):
 
 def cmd_solve_pair(cfg):
     from .fields import write_field
+    from .limiting import check_profile
     from .pair import (ConstraintActiveError, PairProblem,
                        check_window_cells, solve_pair)
     _require(cfg, ["s", "p", "kappa", "W", "out"])
-    _validate_profile(cfg)
     # every argument is checked before the limiting stage runs, so a bad
     # one leaves no partial run directory
+    check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
     problems = [PairProblem(s=cfg["s"], p=cfg["p"], kappa=cfg["kappa"],
                             W=cfg["W"], eps=eps, L=cfg.get("L"))
                 for eps in _eps_list(cfg)]
@@ -288,7 +267,6 @@ def _load_pair_runs(run_dir):
     from .fields import read_field
     from .pair import PairProblem
     manifest = _read_json(run_dir, "manifest.json")
-    cfg = manifest["config"]
     out = []
     for name in manifest["files"]:
         if name.startswith("pair_eps") and name.endswith(".json"):
@@ -300,11 +278,16 @@ def _load_pair_runs(run_dir):
             field = read_field(os.path.join(run_dir, field_name))
             field.nonneg = True
             problem = PairProblem(s=rep["s"], p=rep["p"], kappa=rep["kappa"],
-                                  W=rep["W"], eps=rep["eps"], L=cfg.get("L"))
+                                  W=rep["W"], eps=rep["eps"], L=rep["L"])
             out.append((problem, field, rep))
     if not out:
         raise ValueError(f"no solved pair fields found in {run_dir}")
     return out
+
+
+# verify's default tolerance of each identity, set by --tol-<identity>
+_TOLERANCES = {"fixed_point": 1e-6, "location": 0.05, "multiplier": 0.05,
+               "weak_form": 0.02, "steiner": 1e-10, "bracket": 1e-3}
 
 
 def cmd_verify(cfg):
@@ -313,14 +296,7 @@ def cmd_verify(cfg):
     run_dir = cfg["run"]
     pairs = _load_pair_runs(run_dir)
     lim_rep = _read_json(run_dir, "limiting.json")
-    tols = {
-        "fixed_point": cfg.get("tol_fixed_point", 1e-6),
-        "location": cfg.get("tol_location", 0.05),
-        "multiplier": cfg.get("tol_multiplier", 0.05),
-        "weak_form": cfg.get("tol_weak_form", 0.02),
-        "steiner": cfg.get("tol_steiner", 1e-10),
-        "bracket": cfg.get("tol_bracket", 1e-3),
-    }
+    tols = {k: cfg.get("tol_" + k, v) for k, v in _TOLERANCES.items()}
     run = RunDir(cfg.get("out", run_dir), cfg, "verify", extend=True)
     table = []
     worst_fail = None
@@ -364,16 +340,19 @@ def cmd_verify(cfg):
 
 
 def _parse_perturb(specs, seed):
+    """(kind, amplitude, seed) of each kind[:amplitude[:seed]] spec."""
+    from .evolution import PERTURBATION_KINDS
     out = []
     if not specs:
         specs = ["none"]
     if isinstance(specs, str):
         specs = [t for t in specs.split(";") if t]
     for k, spec in enumerate(specs):
-        parts = spec.split(":")
-        kind = parts[0]
-        amp = float(parts[1]) if len(parts) > 1 else 0.0
-        sd = int(parts[2]) if len(parts) > 2 else seed + k
+        kind, *rest = spec.split(":")
+        if kind not in PERTURBATION_KINDS:
+            raise ValueError(f"unknown perturbation kind {kind!r} in {spec!r}")
+        amp = float(rest[0]) if rest else 0.0
+        sd = int(rest[1]) if len(rest) > 1 else seed + k
         out.append((kind, amp, sd))
     return out
 
@@ -384,15 +363,14 @@ def cmd_evolve(cfg):
     from .fields import write_field
     _require(cfg, ["run"])
     problem, field, rep = _load_pair_runs(cfg["run"])[0]
-    supp_diam = 2.0 * rep["support_radius"]
-    T = cfg.get("T", supp_diam / problem.speed)
+    T = cfg.get("T", 2.0 * rep["support_radius"] / problem.speed)
     config = EvolutionConfig(
         dt=cfg.get("dt"), T=T, cfl=cfg.get("cfl", 0.4),
         diag_every=cfg.get("diag_every", 10),
         snapshot_every=cfg.get("snapshot_every", 0))
+    perturbs = _parse_perturb(cfg.get("perturb"), cfg["seed"])
     run = RunDir(cfg.get("out", cfg["run"]), cfg, "evolve", extend=True)
-    perturbs = _parse_perturb(cfg.get("perturb"), cfg.get("seed", 0))
-    if perturbs == [("none", 0.0, cfg.get("seed", 0))]:
+    if perturbs == [("none", 0.0, cfg["seed"])]:
         trajectory = evolve(field, problem.params, config, reference=field,
                             speed_hint=problem.speed)
         lines = [",".join(TRAJECTORY_COLUMNS)]
@@ -421,7 +399,7 @@ def cmd_evolve(cfg):
     else:
         rows = stability_experiment(field, problem.params, perturbs, config,
                                     speed_hint=problem.speed,
-                                    seed=cfg.get("seed", 0))
+                                    seed=cfg["seed"])
         run.write_json("evolve.json", {"T": T, "experiments": rows})
         lines = ["kind,amplitude,seed,delta_meas,sup_distance,final_distance"]
         for r in rows:
@@ -435,12 +413,13 @@ def cmd_evolve(cfg):
 
 
 def cmd_rearrange(cfg):
-    from .pair import rearrangement_shift_experiment
+    from .pair import check_shift_cells, rearrangement_shift_experiment
     _require(cfg, ["run"])
-    problem, field, rep = _load_pair_runs(cfg["run"])[0]
+    cells = cfg.get("shift_cells", 5)
+    check_shift_cells(cells)
+    problem, field, _ = _load_pair_runs(cfg["run"])[0]
     run = RunDir(cfg.get("out", cfg["run"]), cfg, "rearrange", extend=True)
-    result = rearrangement_shift_experiment(
-        field, problem, cells=cfg.get("shift_cells", 5))
+    result = rearrangement_shift_experiment(field, problem, cells=cells)
     result.pop("energy_trace")
     run.write_json("rearrange.json", result)
     run.stages["rearrange"] = "rearrange.json"
@@ -462,22 +441,21 @@ def cmd_report(cfg):
     run.write_json("summary.json", summary)
     rows = ["stage,key,value"]
     for stage, rep in summary["stages"].items():
-        if isinstance(rep, dict):
-            for key, val in sorted(rep.items()):
-                if isinstance(val, (int, float, bool, str)):
-                    rows.append(f"{stage},{key},{val}")
+        for key, val in sorted(rep.items()):
+            if isinstance(val, (int, float, bool, str)):
+                rows.append(f"{stage},{key},{val}")
     run.write_text("summary.csv", "\n".join(rows) + "\n")
     run.finish()
     return EXIT_OK
 
 
 _COMMANDS = {
-    "solve-limiting": cmd_solve_limiting,
-    "solve-pair": cmd_solve_pair,
-    "verify": cmd_verify,
-    "evolve": cmd_evolve,
-    "rearrange": cmd_rearrange,
-    "report": cmd_report,
+    "solve-limiting": (cmd_solve_limiting, "whole-plane ground state"),
+    "solve-pair": (cmd_solve_pair, "half-plane traveling pair"),
+    "verify": (cmd_verify, "identity battery on a solved run"),
+    "evolve": (cmd_evolve, "transport evolution of a solved pair"),
+    "rearrange": (cmd_rearrange, "rearrangement-class ascent"),
+    "report": (cmd_report, "aggregate a run directory"),
 }
 
 
@@ -496,7 +474,7 @@ def main(argv=None):
                          GsqgError)
     try:
         with scipy.fft.set_workers(threads):
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
     except (ValueError, FileNotFoundError, GsqgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, (BracketError, ConvergenceError,

@@ -402,8 +402,13 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
 # perturbations and the stability experiment
 
 
+PERTURBATION_KINDS = ("none", "bump", "shear", "dimple")
+
+
 def perturb(field: Field2D, kind, amplitude, rng) -> Field2D:
     """Mass-preserving perturbations of a traveling profile."""
+    if kind not in PERTURBATION_KINDS:
+        raise ParameterError(f"unknown perturbation kind {kind!r}")
     g = field.grid
     com = center_of_mass(field)
     vals = field.values
@@ -435,15 +440,13 @@ def perturb(field: Field2D, kind, amplitude, rng) -> Field2D:
             if hi > lo and frac > 0:
                 col[lo:hi] += frac * vals[lo + kk:hi + kk, i]
             out[:, i] = col
-    elif kind == "dimple":
+    else:  # dimple
         ang = rng.uniform(0.0, 2.0 * math.pi)
         cx = com[0] + 0.3 * r_supp * math.cos(ang)
         cy = com[1] + 0.3 * r_supp * math.sin(ang)
         w = 0.3 * r_supp
         dip = np.exp(-((X1 - cx) ** 2 + (X2 - cy) ** 2) / (2 * w * w))
         out = vals * (1.0 - amplitude * dip)
-    else:
-        raise ParameterError(f"unknown perturbation kind {kind!r}")
     out = np.clip(out, 0.0, None)
     m = float(np.sum(out)) * g.cell_area
     out *= mass(field) / m

@@ -140,7 +140,8 @@ def direct_sum(field: Field2D, targets, params: KernelParams,
 
 def _tableaus(grid, params, image):
     """Potential and velocity kernels (u1, u2) at every cell-center
-    displacement d, -(n-1)..n-1 cells per axis.  The free term takes d = x - y
+    displacement d, -(n-1)..n-1 cells per axis, yielded in that order (a
+    caller may stop after the potential).  The free term takes d = x - y
     and its (0, 0) entry carries the self weight (potential) or zero
     (velocity).  The image term takes d = x - ybar against the x1-flipped
     source, so its x1 separations x1 + y1 are all positive."""
@@ -151,16 +152,18 @@ def _tableaus(grid, params, image):
     d2 = np.arange(-(ny - 1), ny) * h2
     R2 = d2[:, None] ** 2 + d1[None, :] ** 2
     if image:
-        pot = c_s * R2 ** (s - 1.0)
+        yield c_s * R2 ** (s - 1.0)
         rad = c_s * R2 ** (s - 2.0) * (2.0 * s - 2.0)
     else:
         ctr = (ny - 1, nx - 1)
         R2[ctr] = 1.0
         pot = c_s * R2 ** (s - 1.0)
         pot[ctr] = singular_cell_weight(h1, params) / grid.cell_area
+        yield pot
         rad = c_s * (2.0 * s - 2.0) * R2 ** (s - 2.0)
         rad[ctr] = 0.0
-    return pot, rad * d2[:, None], -rad * d1[None, :]
+    yield rad * d2[:, None]
+    yield -rad * d1[None, :]
 
 
 class _Lattice:
@@ -195,8 +198,9 @@ class _Lattice:
 
 @lru_cache(maxsize=16)
 def _spectra(nx, ny, h1, h2, x1min, s):
-    """Lattice and kernel spectra of one grid: free "pot" and "vel" (u1, u2),
-    and on a grid in {x1 >= 0} the image "img_pot" and "img_vel".
+    """Lattice and kernel spectra of one grid: free "pot", and on a grid in
+    {x1 >= 0} (the only kind a velocity is read on) free "vel" (u1, u2)
+    and the image "img_pot" and "img_vel".
 
     The tableaus are translation invariant in x2 and depend on x1 only
     through x1min (image terms), so the key drops the x2 extents and window
@@ -207,9 +211,10 @@ def _spectra(nx, ny, h1, h2, x1min, s):
     grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
     params = KernelParams.from_order(s)
     lat = _Lattice(ny, nx)
-    pot, *vel = (lat.hat(t) for t in _tableaus(grid, params, image=False))
-    sp = {"lattice": lat, "pot": pot, "vel": tuple(vel)}
+    free = _tableaus(grid, params, image=False)
+    sp = {"lattice": lat, "pot": lat.hat(next(free))}
     if grid.x1min >= -1e-12 * grid.h1:
+        sp["vel"] = tuple(lat.hat(t) for t in free)
         k1 = np.arange(lat.px // 2 + 1)
         phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % lat.px) / lat.px)
         pot, *vel = (lat.hat(t) * phase

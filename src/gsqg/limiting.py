@@ -383,6 +383,18 @@ def _initial_patch(profile, params, kappa):
     return best[1], a * best[1], best[0]
 
 
+def check_profile(s, p, kappa, L=None):
+    """The power-law profile of a limiting solve; ParameterError unless s,
+    p, kappa and L are in range and p < 1/(1-s)."""
+    profile = PowerProfile(p=p, s=s, L=L)
+    if kappa <= 0:
+        raise ParameterError("kappa must be positive")
+    if not profile.hypotheses_ok:
+        raise ParameterError(
+            f"profile p={p} violates p < 1/(1-s) = {1.0 / (1.0 - s):.6g}")
+    return profile
+
+
 def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
                    n_angles=64, tol=1e-6, max_iter=2000, damping=0.5):
     """Damped fixed-point solve of the limiting maximization problem.
@@ -391,12 +403,7 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     ||w - f((G w - mu)_+)||_1 / kappa is below tol.
     """
     params = KernelParams.from_order(s)
-    profile = PowerProfile(p=p, s=s, L=L)
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    if not profile.hypotheses_ok:
-        raise ParameterError(
-            f"profile p={p} violates p < 1/(1-s) = {1.0 / (1.0 - s):.6g}")
+    profile = check_profile(s, p, kappa, L)
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")

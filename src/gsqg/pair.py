@@ -138,7 +138,7 @@ class PairSolution:
         pb = self.problem
         return {
             "s": pb.s, "p": pb.p, "kappa": pb.kappa, "W": pb.W,
-            "eps": pb.eps,
+            "eps": pb.eps, "L": pb.L,
             "mu_eps": self.mu,
             "d_eps": self.d_eps,
             "d0": pb.constants.d0,
@@ -585,6 +585,12 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
                   "iterations": len(trace) - 1}
 
 
+def check_shift_cells(cells):
+    """ParameterError unless the shift is at least one cell."""
+    if cells < 1:
+        raise ParameterError(f"shift_cells={cells} must be at least 1")
+
+
 def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
                                    cells=5, max_iter=500):
     """Ascent started from an x2-shifted copy of a converged profile.
@@ -594,6 +600,7 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
     distance against the threshold of a two-cell misalignment."""
     from .fields import embed, shift_x2
 
+    check_shift_cells(cells)
     g = field.grid
     pad = cells + 4
     ext = Grid2D(g.nx, g.ny + 2 * pad, g.x1min, g.x1max,

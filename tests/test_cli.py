@@ -67,14 +67,94 @@ class TestUsage:
 
         def merged(*flags):
             return _merge(_build_parser().parse_args(
-                ["solve-limiting", "--config", str(cfg), *flags]))
+                ["evolve", "--config", str(cfg), *flags]))
 
         got = merged()
         assert (got["threads"], got["seed"]) == (2, 7)
         got = merged("--threads", "3", "--seed", "0")
         assert (got["threads"], got["seed"]) == (3, 0)
-        got = _merge(_build_parser().parse_args(["solve-limiting"]))
+        got = _merge(_build_parser().parse_args(["evolve"]))
         assert (got["threads"], got["seed"]) == (1, 0)
+
+    def test_each_command_takes_the_keys_it_reads(self):
+        from gsqg.cli import _build_parser
+
+        limiting = {"s", "p", "kappa", "L", "nr", "n_angles", "tol",
+                    "max_iter", "damping", "threads"}
+        rows = {
+            "solve-limiting": limiting,
+            "solve-pair": limiting | {"W", "eps", "n", "allow_active"},
+            "verify": {"run", "threads", "tol_fixed_point", "tol_location",
+                       "tol_multiplier", "tol_weak_form", "tol_steiner",
+                       "tol_bracket"},
+            "evolve": {"run", "threads", "seed", "dt", "T", "cfl",
+                       "diag_every", "snapshot_every", "perturb"},
+            "rearrange": {"run", "threads", "shift_cells"},
+            "report": {"run"},
+        }
+        sub = next(a for a in _build_parser()._actions
+                   if a.dest == "command")
+        assert set(sub.choices) == set(rows)
+        flags = 0
+        for command, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help"}
+            assert dests == rows[command] | {"config", "out"}, command
+            flags += len(dests)
+        assert flags == 57
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--s", "0.3"],
+        ["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1, "--W", 1,
+         "--seed", 3],
+        ["report", "--threads", 2],
+    ], ids=["verify-s", "solve-pair-seed", "report-threads"])
+    def test_flag_the_command_does_not_read_exits_usage(
+            self, pair_run, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        if not argv[0].startswith("solve"):
+            argv = argv[:1] + ["--run", pair_run] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", out])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_keys_of_other_commands_are_dropped(self, pair_run,
+                                                       tmp_path):
+        # one config file serves the whole chain; verify records only the
+        # keys it reads
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("s = 0.3\nseed = 9\ntol_location = 0.5\n")
+        out = tmp_path / "v"
+        assert run(["verify", "--run", pair_run, "--out", out,
+                    "--config", cfg, "--tol-fixed-point", "1e-4"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"out", "run", "threads", "tol_fixed_point",
+                               "tol_location"}
+        assert config["tol_location"] == 0.5
+        rep = json.loads((out / "verify.json").read_text())
+        assert rep["tolerances"]["location"] == 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-limiting", "--s", 0.5, "--p", 1.5, "--kappa", 1, "--L", -1],
+        ["solve-limiting", "--s", 0.5, "--p", 1.5, "--kappa", 0],
+        ["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1, "--W", 1,
+         "--L", -1],
+        ["evolve", "--perturb", "twist:0.1"],
+        ["evolve", "--perturb", "bump:abc"],
+        ["rearrange", "--shift-cells", -3],
+        ["rearrange", "--shift-cells", 0],
+        ["rearrange", "--shift-cells", -10],
+    ], ids=["limiting-L", "limiting-kappa", "pair-L", "perturb-kind",
+            "perturb-amplitude", "shift-3", "shift0", "shift-10"])
+    def test_bad_argument_leaves_no_run_directory(self, pair_run, tmp_path,
+                                                  capsys, argv):
+        out = tmp_path / "o"
+        if not argv[0].startswith("solve"):
+            argv = argv[:1] + ["--run", pair_run] + argv[1:]
+        assert run(argv + ["--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--diag-every", 0], ["--cfl", 0],
                                        ["--snapshot-every", -1],
@@ -280,6 +360,24 @@ class TestVerify:
         assert code == 3
         err = capsys.readouterr().err
         assert "location" in err
+
+    def test_model_read_from_the_pair_file(self, pair_run, tmp_path):
+        # pair_eps*.json carries L, so verify needs nothing from the
+        # solve's manifest config
+        rep = json.loads((pair_run / "pair_eps0p2.json").read_text())
+        assert rep["L"] == REGIME_L
+        bare = tmp_path / "bare"
+        shutil.copytree(pair_run, bare)
+        manifest = json.loads((bare / "manifest.json").read_text())
+        del manifest["config"]["L"]
+        (bare / "manifest.json").write_text(json.dumps(manifest))
+        tables = []
+        for src, tag in ((pair_run, "full"), (bare, "bare")):
+            out = tmp_path / f"v_{tag}"
+            assert run(["verify", "--run", src, "--out", out,
+                        "--tol-fixed-point", "1e-4"]) == 0
+            tables.append((out / "verify.json").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_missing_run(self, tmp_path, capsys):
         code = run(["verify", "--run", tmp_path / "nope"])

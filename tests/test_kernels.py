@@ -193,6 +193,36 @@ class TestPotentialFree:
         assert d1 / d2 >= 1.9
 
 
+    def test_centered_grid_builds_only_the_potential_spectrum(
+            self, monkeypatch):
+        # a velocity is read only on a grid in {x1 >= 0}: a centered grid
+        # transforms the potential tableau alone, a half-plane grid all six
+        import gsqg.kernels as kernels
+
+        calls = []
+        hat = kernels._Lattice.hat
+
+        def spy(self, tab):
+            calls.append(tab.shape)
+            return hat(self, tab)
+
+        monkeypatch.setattr(kernels._Lattice, "hat", spy)
+        rng = np.random.default_rng(3)
+        vals = rng.random((12, 10))
+        centered = Grid2D(10, 12, -0.5, 0.5, -0.6, 0.6)
+        shifted = Grid2D(10, 12, 0.2, 1.2, -0.6, 0.6)
+        kernels._spectra.cache_clear()
+        try:
+            free = potential_free_grid(Field2D(centered, vals), params(0.5))
+            assert len(calls) == 1
+            moved = potential_free_grid(Field2D(shifted, vals), params(0.5))
+            assert len(calls) == 1 + 6
+        finally:
+            kernels._spectra.cache_clear()
+        # the free tableau depends on the cell size alone
+        np.testing.assert_array_equal(free, moved)
+
+
 class TestPotentialHalfplane:
     def test_wall_exact_zero(self):
         rng = np.random.default_rng(7)
