@@ -261,9 +261,14 @@ def cmd_solve_pair(cfg):
     return status
 
 
+# the keys of pair_eps*.json that verify, evolve and rearrange read
+_PAIR_KEYS = ("s", "p", "kappa", "W", "eps", "L", "support_radius")
+
+
 def _load_pair_runs(run_dir):
     """Every solved pair (problem, field, report) recorded in a run
-    directory; ValueError when there is none."""
+    directory; ValueError when there is none or when a pair file lacks a
+    key of _PAIR_KEYS."""
     from .fields import read_field
     from .pair import PairProblem
     manifest = _read_json(run_dir, "manifest.json")
@@ -275,6 +280,11 @@ def _load_pair_runs(run_dir):
             field_name = f"omega_eps{tag}.field"
             if field_name not in manifest["files"]:
                 continue
+            missing = [k for k in _PAIR_KEYS if k not in rep]
+            if missing:
+                raise ValueError(
+                    f"{os.path.join(run_dir, name)} lacks key(s) "
+                    f"{', '.join(map(repr, missing))}")
             field = read_field(os.path.join(run_dir, field_name))
             field.nonneg = True
             problem = PairProblem(s=rep["s"], p=rep["p"], kappa=rep["kappa"],
@@ -382,6 +392,7 @@ def cmd_evolve(cfg):
             write_field(snap, os.path.join(run.path, name))
             run.add_file(name)
         summary = {
+            "eps": problem.eps,
             "T": T, "dt": trajectory.dt_used, "steps": trajectory.steps,
             "mass_drift": trajectory.drift("mass"),
             "impulse_drift": trajectory.drift("impulse"),
@@ -400,7 +411,8 @@ def cmd_evolve(cfg):
         rows = stability_experiment(field, problem.params, perturbs, config,
                                     speed_hint=problem.speed,
                                     seed=cfg["seed"])
-        run.write_json("evolve.json", {"T": T, "experiments": rows})
+        run.write_json("evolve.json", {"eps": problem.eps, "T": T,
+                                       "experiments": rows})
         lines = ["kind,amplitude,seed,delta_meas,sup_distance,final_distance"]
         for r in rows:
             lines.append("%s,%g,%d,%.17g,%.17g,%.17g" % (
@@ -421,6 +433,7 @@ def cmd_rearrange(cfg):
     run = RunDir(cfg.get("out", cfg["run"]), cfg, "rearrange", extend=True)
     result = rearrangement_shift_experiment(field, problem, cells=cells)
     result.pop("energy_trace")
+    result["eps"] = problem.eps
     run.write_json("rearrange.json", result)
     run.stages["rearrange"] = "rearrange.json"
     run.finish()

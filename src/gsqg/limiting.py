@@ -18,6 +18,7 @@ the energy and potential, the multiplier target, the mass measure and the
 projection.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -64,11 +65,12 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
     of c_s t^(2s-2) * t dt over a segment [a, b] is c_s (b^(2s)-a^(2s))/(2s).
     The segment term of each ray is evaluated once per distinct edge radius
     (neighbouring annuli share one where their edges agree to the bit) and
-    differenced by index, in row blocks of about `_RING_BLOCK` elements;
-    powers are taken only where the ray crosses the edge circle and the
-    base is positive (0^(2s) is +0).  The angular sum runs over the same
-    contiguous layout as the plain broadcast over all (target, annulus,
-    angle) triples, so M is bitwise the same.
+    differenced by index, in row blocks of about `_RING_BLOCK` elements
+    whose temporaries are allocated once per call; powers are taken only
+    where the ray crosses the edge circle and the base is positive (0^(2s)
+    is +0).  The angular sum runs over the same contiguous layout as the
+    plain broadcast over all (target, annulus, angle) triples, so M is
+    bitwise the same.
     """
     r_targets = np.asarray(r_targets, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
@@ -81,21 +83,50 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
     outer, inner = index[:r_nodes.size], index[r_nodes.size:]
     e2 = (edges ** 2)[None, :, None]
     M = np.empty((r_targets.size, r_nodes.size))
-    rows = max(1, _RING_BLOCK // (edges.size * n_angles))
+    rows = max(1, min(r_targets.size,
+                      _RING_BLOCK // (edges.size * n_angles)))
+    block = (rows, edges.size, n_angles)
+    bufs = ([np.empty(block) for _ in range(5)]
+            + [np.empty(block, dtype=bool) for _ in range(2)]
+            + [np.empty((rows, 1, n_angles)) for _ in range(2)]
+            + [np.empty((rows, r_nodes.size, n_angles)) for _ in range(2)])
+    coef = 2.0 * (params.c_s / two_s)
     for i0 in range(0, r_targets.size, rows):
-        r = r_targets[i0:i0 + rows][:, None, None]         # (c,1,1)
-        nb = -(r * cos_a)                                   # (c,1,na)
-        g = e2 - (r * sin_a) ** 2                           # (c,ne,na)
-        sq = np.sqrt(np.maximum(g, 0.0))
-        tp, tm = nb + sq, nb - sq                           # tm <= tp
-        seg = np.zeros(g.shape)
-        far = (g > 0.0) & (tp > 0.0)
-        seg[far] = tp[far] ** two_s
-        near = far & (tm > 0.0)
-        seg[near] -= tm[near] ** two_s
-        val = seg[:, outer] - seg[:, inner]                 # (c,nr,na)
-        M[i0:i0 + rows] = 2.0 * (params.c_s / two_s) * np.sum(
-            val * w_ang, axis=2)
+        c = min(rows, r_targets.size - i0)
+        g, sq, tp, tm, seg, far, near, nb, rs, val, val_in = (
+            b[:c] for b in bufs)
+        r = r_targets[i0:i0 + c][:, None, None]            # (c,1,1)
+        np.negative(np.multiply(r, cos_a, out=nb), out=nb)  # (c,1,na)
+        np.square(np.multiply(r, sin_a, out=rs), out=rs)
+        np.subtract(e2, rs, out=g)                          # (c,ne,na)
+        np.sqrt(np.maximum(g, 0.0, out=sq), out=sq)
+        np.add(nb, sq, out=tp)                              # tm <= tp
+        np.subtract(nb, sq, out=tm)
+        np.logical_and(np.greater(g, 0.0, out=far),
+                       np.greater(tp, 0.0, out=near), out=far)
+        seg.fill(0.0)
+        np.power(tp, two_s, out=seg, where=far)
+        np.logical_and(far, np.greater(tm, 0.0, out=near), out=near)
+        np.power(tm, two_s, out=tm, where=near)
+        np.subtract(seg, tm, out=seg, where=near)
+        np.take(seg, outer, axis=1, out=val, mode="clip")  # (c,nr,na)
+        np.take(seg, inner, axis=1, out=val_in, mode="clip")
+        np.multiply(np.subtract(val, val_in, out=val), w_ang, out=val)
+        np.sum(val, axis=2, out=M[i0:i0 + c])
+        M[i0:i0 + c] *= coef
+    return M
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_ring_matrix(nr, n_angles, s):
+    """Read-only ring_potential_matrix of nr unit-spacing annuli at their
+    midpoints.  M is homogeneous of degree 2s in the spacing, so
+    dr ** (2s) times this is the matrix at spacing dr to roundoff; at unit
+    spacing every edge is an integer, so the nr + 1 edges are shared."""
+    r = np.arange(nr) + 0.5
+    M = ring_potential_matrix(r, r, 1.0, KernelParams.from_order(s),
+                              n_angles=n_angles)
+    M.flags.writeable = False
     return M
 
 
@@ -352,6 +383,7 @@ class LimitingSolution:
                 self.residuals["multiplier_vs_integrals"]) if has_ids else None,
             "iterations": self.iterations,
             "converged": self.converged,
+            "warnings": list(self.warnings),
         }
 
 
@@ -366,10 +398,11 @@ def _initial_patch(profile, params, kappa):
     a*r (a = sqrt(kappa/pi)), with r picked from a coarse dyadic scan."""
     a = math.sqrt(kappa / math.pi)
     # unit-disk self-energy of the free kernel, once, on a small radial grid
+    # (the sizing matrix that _solve_sized's coarse pass shares)
     nr0 = 96
     dr0 = 1.0 / nr0
     r0 = (np.arange(nr0) + 0.5) * dr0
-    m0 = ring_potential_matrix(r0, r0, dr0, params, n_angles=64)
+    m0 = dr0 ** (2.0 * params.s) * _unit_ring_matrix(nr0, 64, params.s)
     meas0 = math.pi * ((r0 + 0.5 * dr0) ** 2 - (r0 - 0.5 * dr0) ** 2)
     t1 = float(np.sum(meas0 * (m0 @ np.ones(nr0)))) / params.c_s
     best = None
@@ -430,14 +463,18 @@ def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
     """Solve on [0, rmax], doubling rmax once when the support touches
     0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
     the patch estimate can be off by an order of magnitude when the ground
-    state is concentrated."""
+    state is concentrated.  The coarse pass returns only a whole-cell
+    support radius, so it runs on the rescaled unit-spacing matrix that
+    _initial_patch also uses; the certified pass builds its own, since the
+    rescaled one moves E0 and mu0 at roundoff.  A support that spans fewer
+    than nr/16 cells is recorded as an under-resolved warning."""
     r_patch, support_est, _ = _initial_patch(profile, params, kappa)
 
-    def solve(nr, rmax, n_angles, tol, warnings):
+    def solve(nr, rmax, n_angles, tol, warnings, sizing=False):
         for attempt in range(2):
             sol = _solve_limiting_on(
                 profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
-                damping, r_patch, warnings, s)
+                damping, r_patch, warnings, s, sizing)
             if sol.support_radius <= 0.9 * rmax:
                 return sol
             if attempt == 0:
@@ -450,16 +487,25 @@ def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
 
     if rmax is None:
         rmax = 4.0 * solve(min(96, nr), 8.0 * support_est, 64, 1e-4,
-                           []).support_radius
-    return solve(nr, rmax, n_angles, tol, warnings)
+                           [], sizing=True).support_radius
+    sol = solve(nr, rmax, n_angles, tol, warnings)
+    cells = round(sol.support_radius / sol.omega0.dr)
+    if cells < nr / 16:
+        warnings.append(
+            f"under-resolved: the support spans {cells} of {nr} cells "
+            f"(< nr/16); the identity residuals are unreliable")
+    return sol
 
 
 def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, damping, r_patch, warnings, s):
+                       max_iter, damping, r_patch, warnings, s, sizing):
     dr = rmax / nr
     r = (np.arange(nr) + 0.5) * dr
     meas = math.pi * ((np.arange(nr) + 1) ** 2 - np.arange(nr) ** 2) * dr ** 2
-    M = ring_potential_matrix(r, r, dr, params, n_angles=n_angles)
+    if sizing:
+        M = dr ** (2.0 * params.s) * _unit_ring_matrix(nr, n_angles, params.s)
+    else:
+        M = ring_potential_matrix(r, r, dr, params, n_angles=n_angles)
 
     a_patch = math.sqrt(kappa / math.pi) * r_patch
     omega = np.where(r < a_patch, r_patch ** -2.0, 0.0)

@@ -340,6 +340,7 @@ def test_criterion_9_rearrangement_collapse(pair_canonical_diagnosed):
 
 # -- 10 ---------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_stability_probe(pair_regime):
     """Evolution of the certified traveling wave (L=0.1, eps=0.1, the state
     criteria 5-7 check) over five turnover periods.

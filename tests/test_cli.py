@@ -28,6 +28,17 @@ def pair_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def pair_run_two_eps(tmp_path_factory):
+    """A regime-parameter pair run solved at eps 0.2 and 0.1."""
+    out = tmp_path_factory.mktemp("pair_run_two_eps")
+    code = run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                "--W", 1, "--L", REGIME_L, "--eps", "0.2,0.1", "--n", "64",
+                "--out", out] + FAST)
+    assert code == 0
+    return out
+
+
 class TestUsage:
     def test_missing_required_parameter(self, tmp_path, capsys):
         code = run(["solve-limiting", "--s", 0.5, "--kappa", 1,
@@ -245,6 +256,29 @@ class TestSolveLimiting:
         actual = {f for f in os.listdir(out) if f != "manifest.json"}
         assert listed == actual
 
+    @pytest.mark.parametrize("s,p,resolved", [
+        (0.5, 1.8, False), (0.3, 1.3, False), (0.4, 1.5, False),
+        (0.5, 1.5, True)])
+    def test_under_resolved_support_warns(self, tmp_path, s, p, resolved):
+        # at L=0.1 these supports span 8-9 of 256 cells, and 80 at
+        # (0.5, 1.5); the warning reaches limiting.json, the exit stays 0
+        out = tmp_path / "lim"
+        code = run(["solve-limiting", "--s", s, "--p", p, "--kappa", 1,
+                    "--L", 0.1, "--nr", 256, "--out", out])
+        assert code == 0
+        rep = json.loads((out / "limiting.json").read_text())
+        warned = [w for w in rep["warnings"]
+                  if w.startswith("under-resolved:")]
+        assert bool(warned) is not resolved
+
+    def test_warnings_reach_limiting_json(self, tmp_path):
+        out = tmp_path / "lim"
+        code = run(["solve-limiting", "--s", 0.5, "--p", 0.8, "--kappa", 1,
+                    "--out", out] + FAST)
+        assert code == 0
+        rep = json.loads((out / "limiting.json").read_text())
+        assert any("uniqueness" in w for w in rep["warnings"])
+
     def test_manifest_free_of_timings(self, tmp_path):
         # wall times go to timings.json, so a repeated run leaves the
         # manifest byte-identical
@@ -383,6 +417,24 @@ class TestVerify:
         code = run(["verify", "--run", tmp_path / "nope"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["evolve", "--T", "0.01"], ["rearrange"]])
+    def test_pair_file_without_a_key_exits_usage(
+            self, pair_run_two_eps, tmp_path, capsys, command):
+        # pair files written before "L" was recorded lack it
+        old = tmp_path / "old"
+        shutil.copytree(pair_run_two_eps, old)
+        rep = json.loads((old / "pair_eps0p1.json").read_text())
+        del rep["L"]
+        (old / "pair_eps0p1.json").write_text(json.dumps(rep))
+        code = run([command[0], "--run", old, "--out", tmp_path / "o"]
+                   + command[1:])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "pair_eps0p1.json" in err and "'L'" in err
+        assert "Traceback" not in err
+
 
 class TestEvolveCmd:
     def test_unperturbed_trajectory(self, pair_run, tmp_path):
@@ -482,6 +534,20 @@ class TestRunChain:
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings["wall_time_s"]) == {"solve-pair", "verify",
                                                "evolve"}
+
+
+class TestWhichPair:
+    # evolve and rearrange take the first pair in manifest order, eps 0.1
+    # of a run solved at eps 0.2,0.1, and record it
+    @pytest.mark.parametrize("args,name", [
+        (["evolve", "--T", "0.01"], "evolve.json"),
+        (["evolve", "--T", "0.01", "--perturb", "bump:0.05"], "evolve.json"),
+        (["rearrange", "--shift-cells", "3"], "rearrange.json")])
+    def test_records_eps(self, pair_run_two_eps, tmp_path, args, name):
+        out = tmp_path / "o"
+        assert run([args[0], "--run", pair_run_two_eps, "--out", out]
+                   + args[1:]) == 0
+        assert json.loads((out / name).read_text())["eps"] == 0.1
 
 
 class TestRearrangeCmd:

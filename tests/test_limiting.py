@@ -20,6 +20,7 @@ from gsqg.limiting import (
     LimitingSolution,
     _gauss_legendre,
     _initial_patch,
+    _unit_ring_matrix,
     constrained_ascent,
     energy_E0,
     linearized_apply,
@@ -145,6 +146,24 @@ class TestRingMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+    # M is homogeneous of degree 2s in the spacing: the rescaled unit-spacing
+    # matrix the sizing passes share differs from a rebuild at roundoff only
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("dr", [1.0 / 96, 0.0235, 2.2613 / 96])
+    def test_unit_matrix_rescales(self, s, dr):
+        params = KernelParams.from_order(s)
+        r = (np.arange(96) + 0.5) * dr
+        np.testing.assert_allclose(
+            dr ** (2.0 * s) * _unit_ring_matrix(96, 64, s),
+            ring_potential_matrix(r, r, dr, params, 64), rtol=1e-12, atol=0)
+
+    def test_unit_matrix_is_read_only(self):
+        M = _unit_ring_matrix(16, 8, 0.5)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+        assert _unit_ring_matrix(16, 8, 0.5) is M
 
 
 class TestEnergyScaling:
@@ -516,7 +535,26 @@ class TestSolveLimiting:
         rep = limiting_canonical.report()
         assert set(rep) == {"s", "p", "kappa", "mu0", "E0", "support_radius",
                             "virial_residual", "multiplier_residual",
-                            "iterations", "converged"}
+                            "iterations", "converged", "warnings"}
+        assert rep["warnings"] == []
+
+    def test_builds_two_ring_matrices(self, monkeypatch):
+        # the sizing passes share one unit-spacing matrix; the certified
+        # pass builds its own
+        import gsqg.limiting
+        built = []
+        ring = gsqg.limiting.ring_potential_matrix
+
+        def counting(r_targets, r_nodes, dr, params, n_angles=128):
+            built.append((len(r_nodes), dr))
+            return ring(r_targets, r_nodes, dr, params, n_angles)
+
+        monkeypatch.setattr(gsqg.limiting, "ring_potential_matrix", counting)
+        _unit_ring_matrix.cache_clear()
+        sol = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=256)
+        assert len(built) == 2
+        assert built[0] == (96, 1.0)
+        assert built[1] == (256, sol.omega0.dr)
 
     def test_growth_bound_rejected(self):
         with pytest.raises(ParameterError):
