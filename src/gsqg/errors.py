@@ -9,10 +9,6 @@ class ParameterError(GsqgError, ValueError):
     """A scalar parameter violates its admissible range."""
 
 
-class SingularityError(GsqgError, ValueError):
-    """Kernel evaluated at zero separation."""
-
-
 class DomainError(GsqgError, ValueError):
     """Field support or grid violates a domain requirement."""
 
@@ -48,7 +44,7 @@ class ResourceLimitError(GsqgError, RuntimeError):
 
 
 class RegimeError(GsqgError, ValueError):
-    """Operation only defined for the power-law profile / p > 1 regime."""
+    """Operation only defined in the p > 1 regime."""
 
 
 class FieldFormatError(GsqgError, ValueError):

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import next_fast_len, irfft2, rfft2
 
-from .errors import DomainError, ParameterError, SingularityError
+from .errors import DomainError, ParameterError
 from .fields import Field2D, Grid2D
 
 _COINCIDE_REL = 1e-9  # target closer than this (in cell widths) is "the cell"
@@ -55,15 +55,6 @@ class KernelParams:
     @classmethod
     def from_order(cls, s: float) -> "KernelParams":
         return cls(s, riesz_constant(s))
-
-
-def kernel_free(z, params: KernelParams):
-    """G(z) = c_s |z|^(2s-2); z may be one displacement or an (n, 2) batch."""
-    z = np.asarray(z, dtype=float)
-    r2 = np.sum(z * z, axis=-1)
-    if np.any(r2 == 0.0):
-        raise SingularityError("free kernel evaluated at zero separation")
-    return params.c_s * r2 ** (params.s - 1.0)
 
 
 def singular_cell_weight(h: float, params: KernelParams) -> float:

@@ -143,18 +143,18 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None):
     The mass m(mu) is continuous and strictly decreasing below max psi_eff,
     where it vanishes, so the root is unique.  Each evaluation is one
     (J')^{-1} call on the active cells t = psi_eff - mu > 0 (inactive cells
-    carry zero density); for the power law the same values give
+    carry zero density); the same values give the slope
     m'(mu) = -p sum a (J')^{-1}(t) / t.  The iteration takes the Newton
     step when it lands inside the bracket [lo, hi] and is at most half the
-    step before last, and bisects otherwise; a general profile always
-    bisects.  It starts from mu0 (the previous multiplier, a warm start)
-    when that lies below max psi_eff, else from 0.  Until some mu gives a
-    mass above kappa, lo is open and mu moves left by the Newton step, at
-    most a span that doubles each time (this also pushes mu negative when
-    needed: transient iterates only, converged multipliers come out
-    positive).  The returned density is rescaled to mass kappa exactly.
+    step before last, and bisects otherwise.  It starts from mu0 (the
+    previous multiplier, a warm start) when that lies below max psi_eff,
+    else from 0.  Until some mu gives a mass above kappa, lo is open and mu
+    moves left by the Newton step, at most a span that doubles each time
+    (this also pushes mu negative when needed: transient iterates only,
+    converged multipliers come out positive).  The returned density is
+    rescaled to mass kappa exactly.
     """
-    p = profile.p if getattr(profile, "is_power", False) else None
+    p = profile.p
 
     def mass_at(mu):
         t = psi_eff - mu
@@ -163,7 +163,7 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None):
         a = measures[active]
         w = profile.Jprime_inverse(t)
         m = float(np.sum(a * w))
-        slope = -p * float(np.sum(a * w / t)) if p is not None else 0.0
+        slope = -p * float(np.sum(a * w / t))
         return m, slope, active, w
 
     hi = float(np.max(psi_eff))
@@ -341,7 +341,7 @@ class LimitingSolution:
     """Converged whole-plane ground state on a radial grid."""
 
     s: float
-    p: float                    # None for a general (non-power) profile
+    p: float
     L: float
     kappa: float
     omega0: RadialField
@@ -356,7 +356,6 @@ class LimitingSolution:
     residuals: dict
     n_angles: int
     warnings: list = dc_field(default_factory=list)
-    profile_obj: object = None  # set for general profiles
 
     @property
     def params(self):
@@ -364,12 +363,9 @@ class LimitingSolution:
 
     @property
     def profile(self):
-        if self.profile_obj is not None:
-            return self.profile_obj
         return PowerProfile(p=self.p, s=self.s, L=self.L)
 
     def report(self):
-        has_ids = "virial" in self.residuals
         return {
             "s": self.s,
             "p": self.p,
@@ -377,10 +373,10 @@ class LimitingSolution:
             "mu0": self.mu0,
             "E0": self.E0,
             "support_radius": self.support_radius,
-            "virial_residual": self.residuals["virial"] if has_ids else None,
+            "virial_residual": self.residuals["virial"],
             "multiplier_residual": max(
                 self.residuals["multiplier_vs_energy"],
-                self.residuals["multiplier_vs_integrals"]) if has_ids else None,
+                self.residuals["multiplier_vs_integrals"]),
             "iterations": self.iterations,
             "converged": self.converged,
             "warnings": list(self.warnings),
@@ -440,25 +436,11 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")
-    return _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
+    return _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
                         max_iter, damping, warnings)
 
 
-def solve_limiting_general(s, profile, kappa=1.0, nr=128, rmax=None,
-                           n_angles=96, tol=1e-5, max_iter=2000, damping=0.5):
-    """Existence-level solve for an arbitrary profile given as closures
-    (J and (J')^{-1} = f are what the iteration needs).
-
-    The scaling/multiplier identity battery is gated to the power law, so the
-    returned residuals carry the fixed-point residual only."""
-    params = KernelParams.from_order(s)
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    return _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
-                        max_iter, damping, [])
-
-
-def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
+def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
                  max_iter, damping, warnings):
     """Solve on [0, rmax], doubling rmax once when the support touches
     0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
@@ -474,7 +456,7 @@ def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
         for attempt in range(2):
             sol = _solve_limiting_on(
                 profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
-                damping, r_patch, warnings, s, sizing)
+                damping, r_patch, warnings, sizing)
             if sol.support_radius <= 0.9 * rmax:
                 return sol
             if attempt == 0:
@@ -498,7 +480,7 @@ def _solve_sized(profile, params, s, kappa, nr, rmax, n_angles, tol,
 
 
 def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, damping, r_patch, warnings, s, sizing):
+                       max_iter, damping, r_patch, warnings, sizing):
     dr = rmax / nr
     r = (np.arange(nr) + 0.5) * dr
     meas = math.pi * ((np.arange(nr) + 1) ** 2 - np.arange(nr) ** 2) * dr ** 2
@@ -529,23 +511,15 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
     energy, kin, jint = _radial_energy(omega, psi, meas, profile)
     nz = np.nonzero(omega > 1e-12 * omega.max())[0]
     support_radius = float(r[nz[-1]] + 0.5 * dr) if nz.size else 0.0
-    is_power = getattr(profile, "is_power", False)
     sol = LimitingSolution(
-        s=profile.s if is_power else s,
-        p=profile.p if is_power else None,
-        L=profile.L if is_power else None,
-        kappa=kappa,
+        s=profile.s, p=profile.p, L=profile.L, kappa=kappa,
         omega0=RadialField(nr, rmax, omega), psi0=psi, mu0=mu,
         E0=energy, kinetic=kin, j_integral=jint,
         support_radius=support_radius, iterations=it,
         converged=True, residuals={}, n_angles=n_angles, warnings=warnings,
-        profile_obj=None if is_power else profile,
     )
-    sol.residuals = {"fixed_point": residual}
-    if is_power:
-        # the scaling/multiplier identity battery holds for power laws only
-        sol.residuals.update(virial=virial_residual(sol),
-                             **_multiplier_residuals(sol))
+    sol.residuals = {"fixed_point": residual, "virial": virial_residual(sol),
+                     **_multiplier_residuals(sol)}
     return sol
 
 

@@ -370,10 +370,8 @@ def location_residual(sol: PairSolution):
 
 def multiplier_pair_residual(sol: PairSolution) -> dict:
     """Relative mismatches of the multiplier and scaling identities built
-    from the structural constants (power-law profile only)."""
+    from the structural constants."""
     pb = sol.problem
-    if not pb.profile.is_power:
-        raise DomainError("identity battery needs the power-law profile")
     c = pb.constants
     gamma = pb.profile.gamma
     speed_I = pb.speed * sol.impulse
@@ -631,29 +629,4 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
         "two_cell_threshold": threshold,
         "collapsed_to_translate": bool(dist <= threshold),
         "equimeasurable": rearrangement_equimeasurable(zeta, ref),
-    }
-
-
-def truncation_gain(sol: PairSolution) -> dict:
-    """Optimality of the converged support: zeroing the cells where the
-    transported stream function is negative must not raise the objective,
-    and no support cell may sit at negative psi - mu."""
-    pb = sol.problem
-    g = sol.omega.grid
-    x1row = g.x1_centers()
-    psi_t = sol.psi_halfplane - pb.speed * x1row[None, :]
-    neg = psi_t < 0.0
-    supp = sol.omega.values > 1e-12 * sol.omega.values.max()
-    truncated = sol.omega.copy()
-    truncated.values[neg] = 0.0
-    e_full = rearrangement_energy(sol.omega, pb, sol.psi_halfplane)
-    e_trunc = rearrangement_energy(
-        truncated, pb, potential_halfplane_grid(truncated, pb.params))
-    bad_cells = int(np.sum(supp & ((psi_t - sol.mu) < -1e-10 * abs(sol.mu))))
-    return {
-        "energy_full": e_full,
-        "energy_truncated": e_trunc,
-        "gain": e_full - e_trunc,
-        "support_cells_below_mu": bad_cells,
-        "removed_mass": mass(sol.omega) - mass(truncated),
     }

@@ -1,11 +1,9 @@
 """Vorticity profile f, its primitive-dual J, and structural constants.
 
-The concrete profile is the power law f(t) = t_+^p with dual
+The profile is the power law f(t) = t_+^p with dual
 J(t) = L t^gamma, gamma = 1 + 1/p.  Constructing J from f as the primitive
 of f^{-1} gives the canonical coefficient L = p/(p+1), for which
-(J')^{-1}(tau) = tau_+^p exactly.  A duck-typed GeneralProfile carries
-arbitrary (f, f^{-1}, J, (J')^{-1}) closures for the existence-level solver;
-identity checks that rely on scaling algebra are gated to the power law.
+(J')^{-1}(tau) = tau_+^p exactly.
 """
 
 from dataclasses import dataclass
@@ -44,19 +42,9 @@ class PowerProfile:
         return (1.0 / (self.L * self.gamma)) ** (1.0 / (self.gamma - 1.0))
 
     @property
-    def is_power(self):
-        return True
-
-    @property
     def hypotheses_ok(self):
         """Exact sublinear-growth test p < 1/(1-s)."""
         return self.p < 1.0 / (1.0 - self.s)
-
-    @property
-    def uniqueness_regime(self):
-        """p in (1, 1/(1-s)): uniqueness and stability results apply.
-        p in (0, 1] is accepted by the solvers with no uniqueness guarantee."""
-        return 1.0 < self.p < 1.0 / (1.0 - self.s)
 
     # -- pointwise maps (all accept scalars or arrays) --
 
@@ -84,50 +72,6 @@ class PowerProfile:
     def Jprime_inverse(self, tau):
         """(J')^{-1}(tau) = (tau / (L*gamma))_+^p = L_gamma * tau_+^p."""
         return self.L_gamma * np.clip(tau, 0.0, None) ** self.p
-
-
-@dataclass(frozen=True)
-class GeneralProfile:
-    """Arbitrary profile closures for the existence-level solver."""
-
-    f: callable
-    f_inverse: callable
-    J: callable
-    Jprime_inverse: callable
-
-    @property
-    def is_power(self):
-        return False
-
-
-def validate_hypotheses(profile, n_samples=48):
-    """Report on the profile growth hypotheses.
-
-    Samples t -> t^(-1/(1-s)) f(t) on log grids near 0 and infinity and
-    reports the divergence / decay trends; for the power law this reduces to
-    the exact test p < 1/(1-s).
-    """
-    s = profile.s
-    q = 1.0 / (1.0 - s)
-    t_small = np.logspace(-8, -1, n_samples)
-    t_large = np.logspace(1, 8, n_samples)
-    g_small = t_small ** (-q) * profile.f(t_small)
-    g_large = t_large ** (-q) * profile.f(t_large)
-    diverges_at_zero = bool(np.all(np.diff(g_small) < 0)) and g_small[0] > g_small[-1]
-    decays_at_inf = bool(np.all(np.diff(g_large) < 0)) and g_large[-1] < g_large[0]
-    report = {
-        "s": s,
-        "critical_exponent": q,
-        "diverges_at_zero": diverges_at_zero,
-        "decays_at_infinity": decays_at_inf,
-        "passes": diverges_at_zero and decays_at_inf,
-    }
-    if getattr(profile, "is_power", False):
-        report["p"] = profile.p
-        report["passes"] = bool(profile.p < q)
-        report["exact_test"] = f"p < 1/(1-s): {profile.p} < {q}"
-        report["uniqueness_regime"] = profile.uniqueness_regime
-    return report
 
 
 @dataclass(frozen=True)

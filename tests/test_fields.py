@@ -32,6 +32,7 @@ from gsqg.fields import (
     weak_closure_membership,
     write_field,
 )
+from gsqg.evolution import _recenter
 
 
 def rand_field(rng, nx=12, ny=10, nonneg=True, x1min=0.0):
@@ -335,6 +336,26 @@ class TestOrbitalDistance:
         f = Field2D(g1, np.ones((4, 4)))
         e = embed(f, u)
         assert mass(e) == pytest.approx(mass(f), rel=1e-14)
+
+    def test_recentered_window(self):
+        # evolve's recentering moves the window by whole cells, so the
+        # distance to the reference is taken on the union of two grids
+        g = Grid2D(64, 64, 0.5, 2.5, -1.0, 1.0)
+        X1, X2 = g.centers()
+        r2 = (X1 - 1.5) ** 2 + (X2 - 16 * g.h2) ** 2
+        blob = Field2D(g, np.clip(1.0 - r2 / 0.09, 0.0, None) ** 2,
+                       nonneg=True)
+        moved, shift = _recenter(blob)
+        assert shift == (0, 16)
+        assert moved.grid != g
+        assert mass(moved) == pytest.approx(mass(blob), rel=1e-14)
+        d, c = orbital_distance(moved, blob, -0.25, 0.25)
+        assert d <= 1e-14
+        assert c == pytest.approx(0.0, abs=1e-9)
+        # xi(x) = omega(x + 3 h e2)
+        d, c = orbital_distance(shift_x2(moved, 3 * g.h2), blob, -0.25, 0.25)
+        assert d <= 1e-12
+        assert c == pytest.approx(3 * g.h2, abs=1e-9)
 
 
 class TestFieldFile:

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gsqg.errors import ParameterError, SingularityError
+from gsqg.errors import ParameterError
 from gsqg.fields import Field2D, Grid2D
 from gsqg.kernels import (
     KernelParams,
     direct_sum,
-    kernel_free,
     potential_free_grid,
     potential_halfplane_grid,
     riesz_constant,
@@ -60,30 +59,6 @@ class TestRieszConstant:
     def test_params_consistency_enforced(self):
         with pytest.raises(ParameterError):
             KernelParams(0.5, 0.2)
-
-
-class TestKernelFree:
-    def test_unit_radius_gives_constant(self):
-        for s in (0.3, 0.5, 0.8):
-            assert kernel_free([1.0, 0.0], params(s)) == pytest.approx(
-                params(s).c_s, rel=1e-15)
-
-    def test_homogeneity(self):
-        rng = np.random.default_rng(1)
-        p = params(0.62)
-        z = rng.normal(size=(20, 2))
-        lam = 3.7
-        np.testing.assert_allclose(
-            kernel_free(lam * z, p),
-            lam ** (2 * p.s - 2) * kernel_free(z, p), rtol=1e-13)
-
-    def test_half_order_at_distance_two(self):
-        assert kernel_free([2.0, 0.0], params(0.5)) == pytest.approx(
-            1.0 / (4.0 * math.pi), rel=1e-14)
-
-    def test_zero_separation_raises(self):
-        with pytest.raises(SingularityError):
-            kernel_free([0.0, 0.0], params(0.5))
 
 
 class TestSingularCellWeight:

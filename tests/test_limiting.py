@@ -303,23 +303,6 @@ class TestMultiplierNewton:
             assert float(np.sum(meas * omega)) == pytest.approx(40.0,
                                                                 rel=1e-12)
 
-    def test_general_profile_bisects(self):
-        from gsqg.profiles import GeneralProfile
-
-        psi, meas = self._problem(6)
-        prof = _CountingProfile(GeneralProfile(
-            f=lambda t: np.arctan(np.clip(t, 0.0, None)),
-            f_inverse=np.tan,
-            J=lambda t: -np.log(np.cos(np.clip(t, 0.0, 1.57))),
-            Jprime_inverse=lambda tau: np.arctan(np.clip(tau, 0.0, None)),
-        ))
-        mu, omega = solve_multiplier(psi, meas, prof, kappa=1.0)
-        ref = _bisection_mu(psi, meas, prof, 1.0)
-        assert mu == pytest.approx(ref, rel=1e-12)
-        assert float(np.sum(meas * omega)) == pytest.approx(1.0, abs=1e-12)
-        # bisection halves a bracket of width max(psi): many evaluations
-        assert prof.calls > 20
-
     def test_warm_started_calls_take_at_most_four_evaluations(
             self, monkeypatch):
         from gsqg import pair
@@ -569,30 +552,6 @@ class TestSolveLimiting:
                              tol=1e-5)
         assert any("uniqueness" in w for w in sol.warnings)
         assert sol.mu0 > 0
-
-    def test_general_profile_existence_solve(self):
-        # bounded strictly increasing profile (an admissible non-power f);
-        # the identity battery is gated off, the fixed point still converges
-        from gsqg.limiting import solve_limiting_general
-        from gsqg.profiles import GeneralProfile
-
-        # J is the primitive of f^{-1} = tan, i.e. -log cos (values of the
-        # fixed point stay below pi/2 since f is bounded by it)
-        prof = GeneralProfile(
-            f=lambda t: np.arctan(np.clip(t, 0.0, None)),
-            f_inverse=np.tan,
-            J=lambda t: -np.log(np.cos(np.clip(t, 0.0, 1.57))),
-            Jprime_inverse=lambda tau: np.arctan(np.clip(tau, 0.0, None)),
-        )
-        sol = solve_limiting_general(0.5, prof, kappa=1.0, nr=64,
-                                     n_angles=48, tol=1e-4)
-        assert sol.converged
-        assert sol.residuals["fixed_point"] <= 1e-4
-        assert "virial" not in sol.residuals
-        assert sol.mu0 > 0
-        assert sol.omega0.mass() == pytest.approx(1.0, rel=1e-9)
-        assert sol.omega0.values.max() < math.pi / 2  # f is bounded
-        assert sol.report()["virial_residual"] is None
 
 
 class TestLinearized:

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsqg.errors import DegenerateConstantError, DomainError, ParameterError
-from gsqg.profiles import (
-    PowerProfile,
-    compute_struct_constants,
-    validate_hypotheses,
-)
+from gsqg.profiles import PowerProfile, compute_struct_constants
 
 
 class TestPowerProfile:
@@ -27,7 +23,7 @@ class TestPowerProfile:
         assert prof.J(1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert prof.L_gamma == pytest.approx(1.0, rel=1e-14)
 
-    def test_canonical_jprime_inverse_is_power(self):
+    def test_canonical_jprime_inverse_is_tau_to_the_p(self):
         prof = PowerProfile(p=1.5, s=0.5)
         tau = np.linspace(0, 3, 13)
         np.testing.assert_allclose(prof.Jprime_inverse(tau), tau ** 1.5,
@@ -61,10 +57,18 @@ class TestPowerProfile:
             PowerProfile(p=1.5, s=0.5, L=-1.0)
 
     def test_regime_flags(self):
-        assert PowerProfile(p=1.5, s=0.5).uniqueness_regime
-        assert not PowerProfile(p=0.8, s=0.5).uniqueness_regime
         assert PowerProfile(p=0.8, s=0.5).hypotheses_ok
         assert not PowerProfile(p=2.5, s=0.5).hypotheses_ok
+
+    @pytest.mark.parametrize("s,p,expect", [
+        (0.5, 1.5, True),
+        (0.5, 2.5, False),
+        (0.75, 3.9, True),
+        (0.75, 4.1, False),
+    ])
+    def test_hypotheses_ok_is_the_exponent_test(self, s, p, expect):
+        # p < 1/(1-s): 2 at s = 0.5, 4 at s = 0.75
+        assert PowerProfile(p=p, s=s).hypotheses_ok is expect
 
     @given(st.floats(min_value=0.05, max_value=5.0),
            st.floats(min_value=1e-3, max_value=1e3))
@@ -73,34 +77,6 @@ class TestPowerProfile:
         prof = PowerProfile(p=p, s=0.5, L=0.37)
         assert float(prof.Jprime_inverse(prof.Jprime(t))) == pytest.approx(
             t, rel=1e-9)
-
-
-class TestValidateHypotheses:
-    @pytest.mark.parametrize("s,p,expect", [
-        (0.5, 1.5, True),
-        (0.5, 2.5, False),
-        (0.75, 3.9, True),
-        (0.75, 4.1, False),
-    ])
-    def test_power_law_reduces_to_exponent_test(self, s, p, expect):
-        assert validate_hypotheses(PowerProfile(p=p, s=s))["passes"] is expect
-
-    def test_general_profile_sampled(self):
-        # arctan profile: bounded, so the decay condition holds; divergence
-        # at zero holds since arctan(t) ~ t and 1/(1-s) > 1
-        from gsqg.profiles import GeneralProfile
-        from types import SimpleNamespace
-
-        closures = GeneralProfile(
-            f=lambda t: np.arctan(np.clip(t, 0, None)),
-            f_inverse=np.tan,
-            J=lambda t: t * np.arctan(t) - 0.5 * np.log1p(t * t),
-            Jprime_inverse=lambda tau: np.tan(np.clip(tau, 0.0, 1.5)),
-        )
-        assert not closures.is_power
-        prof = SimpleNamespace(s=0.5, is_power=False, f=closures.f)
-        report = validate_hypotheses(prof)
-        assert report["passes"]
 
 
 class TestStructConstants:
