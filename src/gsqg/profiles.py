@@ -78,21 +78,15 @@ class PowerProfile:
 class StructConstants:
     """Closed-form constants of the power-law variational identities."""
 
-    s: float
-    p: float
-    gamma: float
     A_gamma: float
     B_gamma: float
     C_gamma: float
-    L_gamma: float
     d0: float
-    kappa: float
-    W: float
     c_s: float
 
 
 def compute_struct_constants(s, p, L=None, kappa=1.0, W=1.0) -> StructConstants:
-    """Evaluate gamma = 1 + 1/p and the identity coefficients
+    """With gamma = 1 + 1/p, evaluate the identity coefficients
 
         A = (2 - gamma - s*gamma) / (2 - s - gamma)
         B = (2 - s)/(s - 1) - (2 - gamma - gamma*s) / (2 (s-1)(2 - s - gamma))
@@ -101,8 +95,7 @@ def compute_struct_constants(s, p, L=None, kappa=1.0, W=1.0) -> StructConstants:
     together with the limiting half-separation
     d0 = ((1-s) c_s kappa / (2^(2-2s) W))^(1/(3-2s)).
     """
-    prof = PowerProfile(p=p, s=s, L=L)
-    gamma = prof.gamma
+    gamma = PowerProfile(p=p, s=s, L=L).gamma
     denom = 2.0 - s - gamma
     if abs(denom) < 1e-14:
         raise DegenerateConstantError(
@@ -116,7 +109,4 @@ def compute_struct_constants(s, p, L=None, kappa=1.0, W=1.0) -> StructConstants:
     c_s = riesz_constant(s)
     d0 = ((1.0 - s) * c_s * kappa / (2.0 ** (2.0 - 2.0 * s) * W)) ** (
         1.0 / (3.0 - 2.0 * s))
-    return StructConstants(
-        s=s, p=p, gamma=gamma, A_gamma=A, B_gamma=B, C_gamma=C,
-        L_gamma=prof.L_gamma, d0=d0, kappa=kappa, W=W, c_s=c_s,
-    )
+    return StructConstants(A_gamma=A, B_gamma=B, C_gamma=C, d0=d0, c_s=c_s)

@@ -69,7 +69,7 @@ def test_criterion_2_quadrature_oracle():
     from gsqg.fields import Field2D, Grid2D
     from gsqg.kernels import KernelParams, direct_sum
 
-    params = KernelParams.from_order(0.5)
+    params = KernelParams(0.5)
     err = {}
     for n in (256, 512):
         g = Grid2D(n, n, -1.2, 1.2, -1.2, 1.2)
@@ -279,7 +279,7 @@ def test_criterion_8_rearrangement_properties():
     )
     from gsqg.kernels import KernelParams, potential_halfplane_grid
 
-    params = KernelParams.from_order(0.5)
+    params = KernelParams(0.5)
     rng = np.random.default_rng(2024)
     worst_drop = 0.0
     sorted_ok = True

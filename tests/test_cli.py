@@ -53,11 +53,13 @@ class TestUsage:
         assert "p < 1/(1-s)" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # damping is fixed (limiting._DAMPING), so no file can set it
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("s = 0.5\nbogus_key = 3\n")
-        code = run(["solve-limiting", "--config", cfg, "--out", tmp_path])
-        assert code == 1
-        assert "unknown config key" in capsys.readouterr().err
+        for key in ("bogus_key", "damping"):
+            cfg.write_text(f"s = 0.5\n{key} = 0.3\n")
+            code = run(["solve-limiting", "--config", cfg, "--out", tmp_path])
+            assert code == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_config_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -91,7 +93,7 @@ class TestUsage:
         from gsqg.cli import _build_parser
 
         limiting = {"s", "p", "kappa", "L", "nr", "n_angles", "tol",
-                    "max_iter", "damping", "threads"}
+                    "max_iter", "threads"}
         rows = {
             "solve-limiting": limiting,
             "solve-pair": limiting | {"W", "eps", "n", "allow_active"},
@@ -111,7 +113,7 @@ class TestUsage:
             dests = {a.dest for a in parser._actions} - {"help"}
             assert dests == rows[command] | {"config", "out"}, command
             flags += len(dests)
-        assert flags == 57
+        assert flags == 55
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--s", "0.3"],
@@ -256,15 +258,22 @@ class TestSolveLimiting:
         actual = {f for f in os.listdir(out) if f != "manifest.json"}
         assert listed == actual
 
-    @pytest.mark.parametrize("s,p,resolved", [
-        (0.5, 1.8, False), (0.3, 1.3, False), (0.4, 1.5, False),
-        (0.5, 1.5, True)])
-    def test_under_resolved_support_warns(self, tmp_path, s, p, resolved):
-        # at L=0.1 these supports span 8-9 of 256 cells, and 80 at
-        # (0.5, 1.5); the warning reaches limiting.json, the exit stays 0
+    @pytest.mark.parametrize("s,p,nr,resolved", [
+        pytest.param(0.5, 1.8, 256, False, id="0.5-1.8-False"),
+        pytest.param(0.3, 1.3, 256, False, id="0.3-1.3-False"),
+        pytest.param(0.4, 1.5, 256, False, id="0.4-1.5-False"),
+        pytest.param(0.5, 1.5, 256, True, id="0.5-1.5-True"),
+        pytest.param(0.3, 1.3, 128, False, id="0.3-1.3-nr128-False")])
+    def test_under_resolved_support_warns(self, tmp_path, s, p, nr,
+                                          resolved):
+        # at L=0.1 the first three collapse: 99% of kappa lies in one cell,
+        # behind a faint tail whose support spans 8-9 cells (9 of 128 at
+        # (0.3, 1.3), which passes a support-based test); at (0.5, 1.5) it
+        # takes 69 of 256.  The warning reaches limiting.json, the exit
+        # stays 0
         out = tmp_path / "lim"
         code = run(["solve-limiting", "--s", s, "--p", p, "--kappa", 1,
-                    "--L", 0.1, "--nr", 256, "--out", out])
+                    "--L", 0.1, "--nr", nr, "--out", out])
         assert code == 0
         rep = json.loads((out / "limiting.json").read_text())
         warned = [w for w in rep["warnings"]
@@ -298,17 +307,6 @@ class TestSolveLimiting:
 
 
 class TestSolvePair:
-    def test_damping_reaches_limiting_stage(self, tmp_path):
-        flags = ["--s", 0.5, "--p", 1.5, "--kappa", 1, "--L", REGIME_L,
-                 "--damping", 0.2] + FAST
-        assert run(["solve-limiting", "--out", tmp_path / "lim"] + flags) == 0
-        assert run(["solve-pair", "--W", 1, "--eps", "0.2", "--n", "32",
-                    "--out", tmp_path / "pair"] + flags) == 0
-        lim, pair = (json.loads((tmp_path / d / "limiting.json").read_text())
-                     for d in ("lim", "pair"))
-        for key in ("E0", "mu0", "iterations"):
-            assert lim[key] == pair[key]
-
     def test_run_products_and_roundtrip(self, pair_run):
         rep = json.loads((pair_run / "pair_eps0p2.json").read_text())
         assert rep["converged"] is True
@@ -329,6 +327,9 @@ class TestSolvePair:
         assert "constraint ball" in capsys.readouterr().err
         rep = json.loads((out / "pair_eps0p1.json").read_text())
         assert rep["constraint_active"] is True
+        # the failed solve's file keeps the warning that explains it
+        assert any(w.endswith("eps is outside the asymptotic regime")
+                   for w in rep["warnings"])
 
     def test_canonical_allow_active(self, tmp_path):
         out = tmp_path / "canon_ok"
@@ -456,7 +457,6 @@ class TestEvolveCmd:
         assert rep["mass_final"] == pytest.approx(
             rep["mass_0"] - rep["outflow"] + rep["scheme_error"],
             rel=0, abs=1e-15 * rep["mass_0"])
-        assert rep["wall_u1_max"] == 0.0
         snaps = [f for f in os.listdir(out) if f.startswith("snapshot_")]
         assert snaps and all(f.endswith(".field") for f in snaps)
         manifest = json.loads((out / "manifest.json").read_text())

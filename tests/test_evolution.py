@@ -18,7 +18,6 @@ from gsqg.evolution import (
     perturb,
     stability_experiment,
     support_touches_wall,
-    wall_normal_velocity,
     window_outflow,
 )
 from gsqg.fields import Field2D, Grid2D, lp_norm, mass
@@ -34,7 +33,7 @@ def blob_field(n=96, center=(2.0, 0.0), radius=0.4, x1span=(1.0, 3.0)):
     return Field2D(g, vals, nonneg=True)
 
 
-PARAMS = KernelParams.from_order(0.5)
+PARAMS = KernelParams(0.5)
 
 
 def _sample_bicubic_reference(arr, fx, fy):
@@ -111,11 +110,6 @@ class TestConfig:
 
 
 class TestVelocity:
-    def test_wall_streamline_exact(self):
-        f = blob_field()
-        u1_wall = wall_normal_velocity(f, PARAMS)
-        assert np.all(u1_wall == 0.0)
-
     def test_self_induced_drift_matches_point_pair(self):
         # far-from-wall blob: velocity at its exact center is the
         # image-induced drift -c_s (2-2s) kappa (2a)^(2s-3) e2 + O((R/a)^2)
@@ -357,7 +351,6 @@ class TestEvolve:
         rep = evolve(f, PARAMS, cfg, reference=f)
         assert rep.steps >= 1
         assert rep.drift("mass") <= 1e-3
-        assert max(rep.wall_u1_max) == 0.0
         assert all(rep.linf[i + 1] <= rep.linf[i] * (1 + 1e-14)
                    for i in range(len(rep.linf) - 1))
         assert sorted(rep.snapshots) == list(range(2, rep.steps + 1, 2))
@@ -365,13 +358,6 @@ class TestEvolve:
         # mass budget: what the window edges let out, and the rest
         assert rep.outflow >= rep.outflow_max >= 0.0
         assert abs(rep.scheme_error()) <= 1e-12 * rep.mass[0]
-
-    def test_wall_check_at_first_and_last_diagnosis(self):
-        f = blob_field(n=32)
-        rep = evolve(f, PARAMS, EvolutionConfig(T=0.2, diag_every=1),
-                     reference=f)
-        assert len(rep.times) == rep.steps + 1 > 2
-        assert rep.wall_u1_max == [0.0, 0.0]
 
     def test_cfl_halving_then_abort(self):
         # dt at 2^k times the CFL step: k halvings are allowed, k + 1 not

@@ -24,7 +24,7 @@ SQUARE_CELL_075 = 0.018613269960259382
 
 
 def params(s):
-    return KernelParams.from_order(s)
+    return KernelParams(s)
 
 
 # grids whose padded FFT lattices have odd lengths or an odd ny
@@ -56,9 +56,13 @@ class TestRieszConstant:
         assert math.gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2,
                                                 rel=1e-15)
 
-    def test_params_consistency_enforced(self):
-        with pytest.raises(ParameterError):
-            KernelParams(0.5, 0.2)
+    def test_params_derive_c_s(self):
+        # c_s is not an argument: it follows from s, which must lie in (0, 1)
+        for s in (0.25, 0.5, 0.75):
+            assert KernelParams(s).c_s == riesz_constant(s)
+        for s in (0.0, 1.0, -0.3, 1.7):
+            with pytest.raises(ParameterError):
+                KernelParams(s)
 
 
 class TestSingularCellWeight:

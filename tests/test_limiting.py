@@ -16,6 +16,7 @@ from gsqg.errors import (
 from gsqg.fields import Field2D, Grid2D, RadialField, lp_norm
 from gsqg.kernels import KernelParams, potential_free_grid
 from gsqg.limiting import (
+    _DAMPING,
     _RESIDUAL_FLOOR,
     LimitingSolution,
     _gauss_legendre,
@@ -66,7 +67,7 @@ def _ring_matrix_broadcast(r_targets, r_nodes, dr, params, n_angles):
 class TestRingMatrix:
     def test_against_adaptive_2d_quadrature(self):
         # one off-diagonal entry vs scipy's adaptive quadrature in polar form
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         nr, rmax = 16, 2.0
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -84,7 +85,7 @@ class TestRingMatrix:
 
     def test_diagonal_against_fft_grid(self):
         # potential of a radial blob: radial matrix vs the 2D grid route
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         nr, rmax = 96, 3.0
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -102,7 +103,7 @@ class TestRingMatrix:
 
     def test_target_at_origin_closed_form(self):
         # disk annulus potential at the center: c_s 2 pi (R2^2s - R1^2s)/(2s)
-        params = KernelParams.from_order(0.7)
+        params = KernelParams(0.7)
         M = ring_potential_matrix(np.array([0.0]), np.array([1.0]), 0.5,
                                   params, 64)
         s = params.s
@@ -115,7 +116,7 @@ class TestRingMatrix:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("nr,n_angles", [(48, 48), (96, 64), (256, 64)])
     def test_matches_broadcast(self, s, nr, n_angles):
-        params = KernelParams.from_order(s)
+        params = KernelParams(s)
         rmax = 2.5
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -128,14 +129,14 @@ class TestRingMatrix:
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_single_node_at_origin(self, s):
-        params = KernelParams.from_order(s)
+        params = KernelParams(s)
         args = (np.array([0.0]), np.array([1.0]), 0.5, params, 64)
         np.testing.assert_array_equal(ring_potential_matrix(*args),
                                       _ring_matrix_broadcast(*args))
 
     def test_peak_memory(self):
         # the broadcast at nr=256, n_angles=64 peaks near 220 MB
-        params = KernelParams.from_order(0.3)
+        params = KernelParams(0.3)
         nr = 256
         dr = 3.0 / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -152,7 +153,7 @@ class TestRingMatrix:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("dr", [1.0 / 96, 0.0235, 2.2613 / 96])
     def test_unit_matrix_rescales(self, s, dr):
-        params = KernelParams.from_order(s)
+        params = KernelParams(s)
         r = (np.arange(96) + 0.5) * dr
         np.testing.assert_allclose(
             dr ** (2.0 * s) * _unit_ring_matrix(96, 64, s),
@@ -169,7 +170,7 @@ class TestRingMatrix:
 class TestEnergyScaling:
     def test_dilation_family_exponents(self):
         # w_r(x) = r^-2 w(x/r): kernel term scales r^(2s-2), J term r^(2-2g)
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         prof = PowerProfile(p=1.5, s=0.5)
         n = 96
 
@@ -194,7 +195,7 @@ class TestEnergyScaling:
         g = Grid2D(8, 8, -1, 1, -1, 1)
         f = Field2D(g, np.zeros((8, 8)))
         assert energy_E0(f, PowerProfile(p=1.5, s=0.5),
-                         KernelParams.from_order(0.5)) == 0.0
+                         KernelParams(0.5)) == 0.0
 
     def test_compositional_identity(self):
         rng = np.random.default_rng(0)
@@ -202,7 +203,7 @@ class TestEnergyScaling:
         vals = rng.random((24, 24))
         f = Field2D(g, vals, nonneg=True)
         prof = PowerProfile(p=1.5, s=0.5)
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         psi = potential_free_grid(f, params)
         expect = 0.5 * float(np.sum(vals * psi)) * g.cell_area \
             - float(np.sum(prof.J(vals))) * g.cell_area
@@ -336,9 +337,13 @@ class TestMonitoredStep:
     def test_accepted_step_regrows_theta(self):
         # energy -(x - 1)^2 from x = 0 towards 1: the first trial ascends
         x, (e, _), theta, ok = monitored_step(
-            lambda t: t, lambda x: (-(x - 1.0) ** 2, None), -1.0, 0.25, 0.3)
+            lambda t: t, lambda x: (-(x - 1.0) ** 2, None), -1.0, 0.25)
         assert ok and x == 0.25 and e == -(0.75 ** 2)
-        assert theta == 0.3
+        assert theta == 0.25 * 1.3
+        # regrowth stops at the damping, the first and largest step
+        theta = monitored_step(
+            lambda t: t, lambda x: (-(x - 1.0) ** 2, None), -1.0, 0.45)[2]
+        assert theta == _DAMPING == 0.5
 
     def test_rejected_path_halves_then_forces_smallest_step(self):
         thetas = []
@@ -348,7 +353,7 @@ class TestMonitoredStep:
             return t
 
         x, (e, aux), theta, ok = monitored_step(
-            trial_at, lambda x: (-x, "aux"), 0.0, 0.5, 0.5)
+            trial_at, lambda x: (-x, "aux"), 0.0, 0.5)
         assert not ok
         assert thetas == [0.5 / 2 ** k for k in range(8)]
         assert theta == x == 0.5 / 128
@@ -360,7 +365,7 @@ class TestConstrainedAscent:
     def _radial(nr=48, rmax=0.4):
         # small radial ground-state problem (s 0.5, p 1.5, L 0.1; support
         # radius ~0.12) started from a uniform disk of radius 0.2
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         prof = PowerProfile(p=1.5, s=0.5, L=0.1)
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -388,7 +393,7 @@ class TestConstrainedAscent:
             return constrained_ascent(
                 x0, evaluate,
                 lambda psi, mu: solve_multiplier(psi, meas, prof, 1.0, mu0=mu),
-                mass, kappa=1.0, damping=0.5, anderson=False, **kw)
+                mass, kappa=1.0, anderson=False, **kw)
 
         return run, residuals
 
@@ -414,7 +419,7 @@ class TestConstrainedAscent:
         return constrained_ascent(
             np.linspace(1.0, 2.0, 7), lambda x: (0.0, x),
             lambda psi, mu: (0.0, 0.5 * psi),
-            lambda v: next(script), kappa=1.0, damping=0.5, anderson=True,
+            lambda v: next(script), kappa=1.0, anderson=True,
             **kw)
 
     def test_mixed_run_stops_at_the_floor(self):
@@ -428,7 +433,7 @@ class TestConstrainedAscent:
 
         out = constrained_ascent(
             x0, lambda x: (0.0, x), target, lambda v: float(np.sum(v)),
-            kappa=1.0, tol=1e-6, max_iter=100, damping=0.5, anderson=True)
+            kappa=1.0, tol=1e-6, max_iter=100, anderson=True)
         np.testing.assert_array_equal(out[0], x0)
         assert out[4] == 0.0 and out[5] == 1 and calls == [None]
         # residuals <= tol but above the floor do not stop the run
@@ -466,13 +471,12 @@ class TestConstrainedAscent:
 class TestSolveLimiting:
     def test_initial_patch_has_positive_energy(self):
         prof = PowerProfile(p=1.5, s=0.5)
-        params = KernelParams.from_order(0.5)
+        params = KernelParams(0.5)
         _, _, energy = _initial_patch(prof, params, kappa=1.0)
         assert energy > 0
 
     def test_invariants_at_reference_point(self, limiting_canonical):
         sol = limiting_canonical
-        assert sol.converged
         assert sol.residuals["fixed_point"] <= 1e-6
         assert sol.omega0.mass() == pytest.approx(sol.kappa, rel=1e-9)
         assert sol.mu0 > 0
@@ -505,9 +509,9 @@ class TestSolveLimiting:
         fake = LimitingSolution(
             s=sol.s, p=sol.p, L=sol.L, kappa=sol.kappa,
             omega0=RadialField(sol.omega0.nr, sol.omega0.rmax, squeezed),
-            psi0=psi, mu0=sol.mu0, E0=0.5 * kin - jint, kinetic=kin,
+            mu0=sol.mu0, E0=0.5 * kin - jint, kinetic=kin,
             j_integral=jint, support_radius=sol.support_radius,
-            iterations=0, converged=True, residuals={}, n_angles=64)
+            iterations=0, residuals={})
         lam = squeeze ** (-2.0 * sol.s)
         expect = (1.0 - lam) / (1.0 + lam)
         resid = virial_residual(fake)
@@ -556,7 +560,14 @@ class TestSolveLimiting:
 
 class TestLinearized:
     def test_polish_satisfies_2d_fixed_point(self, limiting_state_2d_96):
-        assert limiting_state_2d_96.polish_residual <= 1e-8
+        # one multiplier solve on the state's potential maps the field to
+        # within the polish tolerance of itself
+        st = limiting_state_2d_96
+        a = st.field.grid.cell_area
+        _, f = solve_multiplier(st.psi, np.full(st.psi.shape, a), st.profile,
+                                st.kappa, mu0=st.mu)
+        residual = float(np.sum(np.abs(f - st.field.values))) * a / st.kappa
+        assert residual <= 1e-8
 
     def test_identity_outside_coefficient_support(self, limiting_state_2d_96):
         st = limiting_state_2d_96
@@ -619,7 +630,7 @@ class TestSpectralGap:
         stz = type(st)(field=st.field,
                        psi=np.zeros_like(st.psi),  # coefficient (psi-mu)+ = 0
                        mu=1.0, E0=st.E0, s=st.s, p=st.p, L=st.L,
-                       kappa=st.kappa, polish_residual=st.polish_residual)
+                       kappa=st.kappa)
         dense = spectral_gap_estimate(stz, method="dense")
         assert dense["gap"] == 1.0
 

@@ -23,6 +23,11 @@ class TestPowerProfile:
         assert prof.J(1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert prof.L_gamma == pytest.approx(1.0, rel=1e-14)
 
+    def test_canonical_L_gamma_is_one(self):
+        for p in (1.2, 1.5, 1.9):
+            assert PowerProfile(p=p, s=0.5).L_gamma == pytest.approx(
+                1.0, rel=1e-13)
+
     def test_canonical_jprime_inverse_is_tau_to_the_p(self):
         prof = PowerProfile(p=1.5, s=0.5)
         tau = np.linspace(0, 3, 13)
@@ -100,11 +105,6 @@ class TestStructConstants:
         assert c.d0 == pytest.approx(math.sqrt(1.0 / (8.0 * math.pi)),
                                      rel=1e-13)
         assert c.d0 == pytest.approx(0.199471, rel=1e-5)
-
-    def test_canonical_L_gamma_is_one(self):
-        for p in (1.2, 1.5, 1.9):
-            c = compute_struct_constants(0.5, p)
-            assert c.L_gamma == pytest.approx(1.0, rel=1e-13)
 
     def test_degenerate_combination_rejected(self):
         # 2 - s - gamma = 0 at s = 1/2 iff gamma = 3/2 iff p = 2
