@@ -224,9 +224,8 @@ def cmd_solve_pair(cfg):
     _require(cfg, ["s", "p", "kappa", "W", "out"])
     # every argument is checked before the limiting stage runs, so a bad
     # one leaves no partial run directory
-    check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
-    problems = [PairProblem(s=cfg["s"], p=cfg["p"], kappa=cfg["kappa"],
-                            W=cfg["W"], eps=eps, L=cfg.get("L"))
+    profile = check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
+    problems = [PairProblem(profile, kappa=cfg["kappa"], W=cfg["W"], eps=eps)
                 for eps in _eps_list(cfg)]
     check_window_cells(cfg.get("n", 192))
     run = RunDir(cfg["out"], cfg, "solve-pair")
@@ -263,10 +262,13 @@ _PAIR_KEYS = ("s", "p", "kappa", "W", "eps", "L", "support_radius")
 
 def _load_pair_runs(run_dir):
     """Every solved pair (problem, field, report) recorded in a run
-    directory; ValueError when there is none or when a pair file lacks a
-    key of _PAIR_KEYS."""
+    directory; ValueError when there is none, when a pair file lacks a key
+    of _PAIR_KEYS or when its values are out of range.  An "L" of null, as
+    files written before the resolved L was recorded carry, stands for the
+    canonical L."""
     from .fields import read_field
     from .pair import PairProblem
+    from .profiles import PowerProfile
     manifest = _read_json(run_dir, "manifest.json")
     out = []
     for name in manifest["files"]:
@@ -281,10 +283,11 @@ def _load_pair_runs(run_dir):
                 raise ValueError(
                     f"{os.path.join(run_dir, name)} lacks key(s) "
                     f"{', '.join(map(repr, missing))}")
+            problem = PairProblem(
+                PowerProfile(p=rep["p"], s=rep["s"], L=rep["L"]),
+                kappa=rep["kappa"], W=rep["W"], eps=rep["eps"])
             field = read_field(os.path.join(run_dir, field_name))
             field.nonneg = True
-            problem = PairProblem(s=rep["s"], p=rep["p"], kappa=rep["kappa"],
-                                  W=rep["W"], eps=rep["eps"], L=rep["L"])
             out.append((problem, field, rep))
     if not out:
         raise ValueError(f"no solved pair fields found in {run_dir}")
@@ -377,7 +380,7 @@ def cmd_evolve(cfg):
     perturbs = _parse_perturb(cfg.get("perturb"), cfg["seed"])
     run = RunDir(cfg.get("out", cfg["run"]), cfg, "evolve", extend=True)
     if perturbs == [("none", 0.0, cfg["seed"])]:
-        trajectory = evolve(field, problem.params, config, reference=field,
+        trajectory = evolve(field, problem.profile.s, config, reference=field,
                             speed_hint=problem.speed)
         lines = [",".join(TRAJECTORY_COLUMNS)]
         for row in trajectory.rows():
@@ -403,7 +406,7 @@ def cmd_evolve(cfg):
         }
         run.write_json("evolve.json", summary)
     else:
-        rows = stability_experiment(field, problem.params, perturbs, config,
+        rows = stability_experiment(field, problem.profile.s, perturbs, config,
                                     speed_hint=problem.speed,
                                     seed=cfg["seed"])
         run.write_json("evolve.json", {"eps": problem.eps, "T": T,

@@ -31,11 +31,7 @@ from .fields import (
     mass,
     orbital_distance,
 )
-from .kernels import (
-    KernelParams,
-    potential_halfplane_grid,
-    velocity_pair_grid,
-)
+from .kernels import potential_halfplane_grid, velocity_pair_grid
 
 _RECENTER_CELLS = 10  # center drift, in cells, that shifts the window
 _MAX_DT_HALVINGS = 3  # CFL halvings allowed before evolve gives up
@@ -301,11 +297,12 @@ def _recenter(field: Field2D):
     return Field2D(grid, vals, nonneg=field.nonneg), (k1, k2)
 
 
-def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
+def evolve(xi0: Field2D, s: float, config: EvolutionConfig,
            reference: Field2D = None, speed_hint=0.0) -> TrajectoryReport:
-    """Time loop: velocity from the current field, one advection step,
-    diagnostics on schedule.  reference defaults to the initial data; the
-    orbital-distance shift search tracks the accumulated x2 drift."""
+    """Time loop under the kernel of order s: velocity from the current
+    field, one advection step, diagnostics on schedule.  reference defaults
+    to the initial data; the orbital-distance shift search tracks the
+    accumulated x2 drift."""
     if np.any(xi0.values < 0):
         raise DomainError("evolution expects a nonnegative half-plane scalar")
     if xi0.grid.x1min < -1e-12 * xi0.grid.h1:
@@ -315,7 +312,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     rep = TrajectoryReport()
     h = min(field.grid.h1, field.grid.h2)
 
-    u1, u2 = velocity_pair_grid(field, params)
+    u1, u2 = velocity_pair_grid(field, s)
     umax = float(np.max(np.hypot(u1, u2)))
     dt = config.dt
     if dt is None:
@@ -326,7 +323,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     step = 0
 
     def diagnose():
-        psi = potential_halfplane_grid(field, params)
+        psi = potential_halfplane_grid(field, s)
         a = field.grid.cell_area
         energy = 0.5 * float(np.sum(field.values * psi)) * a
         try:
@@ -353,7 +350,7 @@ def evolve(xi0: Field2D, params: KernelParams, config: EvolutionConfig,
     n_steps = int(round(config.T / dt))
     while step < n_steps:
         if step > 0:
-            u1, u2 = velocity_pair_grid(field, params)
+            u1, u2 = velocity_pair_grid(field, s)
         umax = float(np.max(np.hypot(u1, u2)))
         while dt * umax / h > _CFL_MAX:
             if halvings >= _MAX_DT_HALVINGS:
@@ -436,9 +433,8 @@ def perturb(field: Field2D, kind, amplitude, rng) -> Field2D:
     return Field2D(g, out, nonneg=True)
 
 
-def stability_experiment(omega: Field2D, params: KernelParams,
-                         perturbations, config: EvolutionConfig,
-                         speed_hint=0.0, seed=0):
+def stability_experiment(omega: Field2D, s: float, perturbations,
+                         config: EvolutionConfig, speed_hint=0.0, seed=0):
     """Evolve each perturbed initial state and tabulate the measured initial
     distance against the sup of the orbital distance along the trajectory.
 
@@ -452,8 +448,7 @@ def stability_experiment(omega: Field2D, params: KernelParams,
         xi0 = perturb(omega, kind, amplitude, rng)
         d0, _ = orbital_distance(xi0, omega, -4 * omega.grid.h2,
                                  4 * omega.grid.h2)
-        rep = evolve(xi0, params, config, reference=omega,
-                     speed_hint=speed_hint)
+        rep = evolve(xi0, s, config, reference=omega, speed_hint=speed_hint)
         rows.append({
             "kind": kind,
             "amplitude": amplitude,

@@ -98,6 +98,13 @@ class Field2D:
         return cls(grid, np.zeros((grid.ny, grid.nx)), nonneg)
 
 
+def annulus_areas(nr, dr):
+    """Areas pi ((k+1)^2 - k^2) dr^2 of the annuli k dr < r < (k+1) dr,
+    k = 0..nr-1 (equal to 2 pi r_k dr at the midpoint radii r_k)."""
+    k = np.arange(nr)
+    return math.pi * ((k + 1) ** 2 - k ** 2) * dr ** 2
+
+
 @dataclass
 class RadialField:
     """Radially symmetric profile sampled at cell-centered radii.
@@ -127,9 +134,8 @@ class RadialField:
         return (np.arange(self.nr) + 0.5) * self.dr
 
     def annulus_measures(self):
-        """Exact area of each annulus (equals 2*pi*r_i*dr for midpoint rings)."""
-        edges = np.arange(self.nr + 1) * self.dr
-        return math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+        """Area of each annulus: annulus_areas(nr, dr)."""
+        return annulus_areas(self.nr, self.dr)
 
     def mass(self):
         return float(np.sum(self.values * self.annulus_measures()))

@@ -21,7 +21,6 @@ the equal-area disk of radius h/sqrt(pi); the velocity's self cell is zero
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -40,18 +39,7 @@ def riesz_constant(s: float) -> float:
     return math.gamma(1.0 - s) / (2.0 ** (2.0 * s) * math.pi * math.gamma(s))
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Order s of the kernel; its normalization c_s = riesz_constant(s)."""
-
-    s: float
-    c_s: float = dc_field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_s", riesz_constant(self.s))
-
-
-def singular_cell_weight(h: float, params: KernelParams) -> float:
+def singular_cell_weight(h: float, s: float) -> float:
     """Exact kernel integral over the equal-area disk of a square cell.
 
     The disk radius is rho = h / sqrt(pi) (same area as the cell), and
@@ -60,7 +48,7 @@ def singular_cell_weight(h: float, params: KernelParams) -> float:
     if h <= 0:
         raise ParameterError("cell width must be positive")
     rho = h / math.sqrt(math.pi)
-    return params.c_s * math.pi * rho ** (2.0 * params.s) / params.s
+    return riesz_constant(s) * math.pi * rho ** (2.0 * s) / s
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +62,8 @@ def _cell_data(field: Field2D):
     return X1.ravel(), X2.ravel(), m.ravel()
 
 
-def direct_sum(field: Field2D, targets, params: KernelParams,
-               velocity=False, halfplane=False):
+def direct_sum(field: Field2D, targets, s: float, velocity=False,
+               halfplane=False):
     """Midpoint-rule potential or velocity of a field at arbitrary targets.
 
     The potential is sum_y G(x - y) m(y); the velocity is
@@ -90,14 +78,14 @@ def direct_sum(field: Field2D, targets, params: KernelParams,
     order per target; results do not depend on how targets are partitioned
     across workers.
     """
+    fac, expo = riesz_constant(s), s - 1.0
     g = field.grid
     if halfplane and g.x1min < -1e-12 * g.h1:
         raise DomainError("half-plane sums need support in {x1 >= 0}")
     cx, cy, m = _cell_data(field)
-    fac, expo = params.c_s, params.s - 1.0
-    w_self = singular_cell_weight(g.h1, params) / g.cell_area
+    w_self = singular_cell_weight(g.h1, s) / g.cell_area
     if velocity:
-        fac, expo, w_self = fac * (2.0 * params.s - 2.0), params.s - 2.0, 0.0
+        fac, expo, w_self = fac * (2.0 * s - 2.0), s - 2.0, 0.0
     tol2 = (_COINCIDE_REL * g.h1) ** 2
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty((targets.shape[0], 2 if velocity else 1))
@@ -123,7 +111,7 @@ def direct_sum(field: Field2D, targets, params: KernelParams,
 # grid-aligned FFT fast paths (identical tableau, O(N log N))
 
 
-def _tableaus(grid, params, image):
+def _tableaus(grid, s, image):
     """Potential and velocity kernels (u1, u2) at every cell-center
     displacement d, -(n-1)..n-1 cells per axis, yielded in that order (a
     caller may stop after the potential).  The free term takes d = x - y
@@ -131,7 +119,7 @@ def _tableaus(grid, params, image):
     (velocity).  The image term takes d = x - ybar against the x1-flipped
     source, so its x1 separations x1 + y1 are all positive."""
     nx, ny, h1, h2 = grid.nx, grid.ny, grid.h1, grid.h2
-    s, c_s = params.s, params.c_s
+    c_s = riesz_constant(s)
     d = np.arange(-(nx - 1), nx)
     d1 = (d + nx) * h1 + 2.0 * grid.x1min if image else d * h1
     d2 = np.arange(-(ny - 1), ny) * h2
@@ -143,7 +131,7 @@ def _tableaus(grid, params, image):
         ctr = (ny - 1, nx - 1)
         R2[ctr] = 1.0
         pot = c_s * R2 ** (s - 1.0)
-        pot[ctr] = singular_cell_weight(h1, params) / grid.cell_area
+        pot[ctr] = singular_cell_weight(h1, s) / grid.cell_area
         yield pot
         rad = c_s * (2.0 * s - 2.0) * R2 ** (s - 2.0)
         rad[ctr] = 0.0
@@ -194,16 +182,15 @@ def _spectra(nx, ny, h1, h2, x1min, s):
     phase * conj(M[rev]), rev = (-k2) mod py; the phase is folded into the
     image spectra, so the source's one forward transform feeds both terms."""
     grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
-    params = KernelParams(s)
     lat = _Lattice(ny, nx)
-    free = _tableaus(grid, params, image=False)
+    free = _tableaus(grid, s, image=False)
     sp = {"lattice": lat, "pot": lat.hat(next(free))}
     if grid.x1min >= -1e-12 * grid.h1:
         sp["vel"] = tuple(lat.hat(t) for t in free)
         k1 = np.arange(lat.px // 2 + 1)
         phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % lat.px) / lat.px)
         pot, *vel = (lat.hat(t) * phase
-                     for t in _tableaus(grid, params, image=True))
+                     for t in _tableaus(grid, s, image=True))
         sp.update(img_pot=pot, img_vel=tuple(vel),
                   rev=-np.arange(lat.py) % lat.py)
     return sp
@@ -217,33 +204,33 @@ def _grid_spectra(grid, s, halfplane_op=None):
     return _spectra(grid.nx, grid.ny, grid.h1, grid.h2, grid.x1min, s)
 
 
-def potential_free_grid(field: Field2D, params: KernelParams) -> np.ndarray:
+def potential_free_grid(field: Field2D, s: float) -> np.ndarray:
     """Free-space potential at every cell center of the field's own grid.
 
     Computes exactly the midpoint sum of `direct_sum` via FFT convolution
     (deterministic, identical up to roundoff)."""
-    sp = _grid_spectra(field.grid, params.s)
+    sp = _grid_spectra(field.grid, s)
     lat = sp["lattice"]
     return lat.inverse(lat.forward(field.values * field.grid.cell_area)
                        * sp["pot"])
 
 
-def potential_halfplane_grid(field: Field2D, params: KernelParams) -> np.ndarray:
+def potential_halfplane_grid(field: Field2D, s: float) -> np.ndarray:
     """Half-plane potential (free minus image) at cell centers.  One forward
     transform of the source feeds both terms."""
     g = field.grid
-    sp = _grid_spectra(g, params.s, "half-plane potential")
+    sp = _grid_spectra(g, s, "half-plane potential")
     lat = sp["lattice"]
     M = lat.forward(field.values * g.cell_area)
     return lat.inverse(sp["pot"] * M - sp["img_pot"] * np.conj(M[sp["rev"]]))
 
 
-def velocity_pair_grid(field: Field2D, params: KernelParams):
+def velocity_pair_grid(field: Field2D, s: float):
     """(u1, u2) at cell centers induced by the odd-in-x1 extension of a
     half-plane field (field minus its reflection).  One forward transform of
     the source feeds both the free and the image terms."""
     g = field.grid
-    sp = _grid_spectra(g, params.s, "pair velocity")
+    sp = _grid_spectra(g, s, "pair velocity")
     lat = sp["lattice"]
     M = lat.forward(field.values * g.cell_area)
     Mr = np.conj(M[sp["rev"]])

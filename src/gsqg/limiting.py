@@ -34,12 +34,8 @@ from .errors import (
     RegimeError,
     ResourceLimitError,
 )
-from .fields import Field2D, Grid2D, RadialField
-from .kernels import (
-    KernelParams,
-    potential_free_grid,
-    singular_cell_weight,
-)
+from .fields import Field2D, Grid2D, RadialField, annulus_areas
+from .kernels import potential_free_grid, riesz_constant, singular_cell_weight
 from .profiles import PowerProfile, compute_struct_constants
 
 
@@ -56,7 +52,7 @@ def _gauss_legendre(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
+def ring_potential_matrix(r_targets, r_nodes, dr, s, n_angles=128):
     """M[i, j] = kernel integral over annulus j (unit density) at radius
     r_targets[i] from the origin.
 
@@ -72,9 +68,10 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
     plain broadcast over all (target, annulus, angle) triples, so M is
     bitwise the same.
     """
+    c_s = riesz_constant(s)
     r_targets = np.asarray(r_targets, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
-    two_s = 2.0 * params.s
+    two_s = 2.0 * s
     ang, w_ang = _gauss_legendre(n_angles, 0.0, math.pi)
     sin_a, cos_a = np.sin(ang), np.cos(ang)
     edges, index = np.unique(np.concatenate(
@@ -90,7 +87,7 @@ def ring_potential_matrix(r_targets, r_nodes, dr, params, n_angles=128):
             + [np.empty(block, dtype=bool) for _ in range(2)]
             + [np.empty((rows, 1, n_angles)) for _ in range(2)]
             + [np.empty((rows, r_nodes.size, n_angles)) for _ in range(2)])
-    coef = 2.0 * (params.c_s / two_s)
+    coef = 2.0 * (c_s / two_s)
     for i0 in range(0, r_targets.size, rows):
         c = min(rows, r_targets.size - i0)
         g, sq, tp, tm, seg, far, near, nb, rs, val, val_in = (
@@ -124,7 +121,7 @@ def _unit_ring_matrix(nr, n_angles, s):
     dr ** (2s) times this is the matrix at spacing dr to roundoff; at unit
     spacing every edge is an integer, so the nr + 1 edges are shared."""
     r = np.arange(nr) + 0.5
-    M = ring_potential_matrix(r, r, 1.0, KernelParams(s), n_angles=n_angles)
+    M = ring_potential_matrix(r, r, 1.0, s, n_angles=n_angles)
     M.flags.writeable = False
     return M
 
@@ -322,15 +319,15 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
 # energies
 
 
-def energy_E0(field: Field2D, profile, params: KernelParams,
-              psi=None) -> float:
-    """E0 = (1/2) int w G*w - int J(w) for a cell-averaged field; psi is the
-    field's potential when the caller already has it."""
+def energy_E0(field: Field2D, profile: PowerProfile, psi=None) -> float:
+    """E0 = (1/2) int w G*w - int J(w) for a cell-averaged field, with the
+    kernel order and J of the profile; psi is the field's potential when
+    the caller already has it."""
     vals = field.values
     if np.any(vals < 0):
         raise DomainError("E0 is defined for nonnegative fields")
     if psi is None:
-        psi = potential_free_grid(field, params)
+        psi = potential_free_grid(field, profile.s)
     a = field.grid.cell_area
     return float(0.5 * np.sum(vals * psi) * a - np.sum(profile.J(vals)) * a)
 
@@ -339,9 +336,7 @@ def energy_E0(field: Field2D, profile, params: KernelParams,
 class LimitingSolution:
     """Converged whole-plane ground state on a radial grid."""
 
-    s: float
-    p: float
-    L: float
+    profile: PowerProfile
     kappa: float
     omega0: RadialField
     mu0: float
@@ -353,18 +348,11 @@ class LimitingSolution:
     residuals: dict
     warnings: list = dc_field(default_factory=list)
 
-    @property
-    def params(self):
-        return KernelParams(self.s)
-
-    @property
-    def profile(self):
-        return PowerProfile(p=self.p, s=self.s, L=self.L)
-
     def report(self):
         return {
-            "s": self.s,
-            "p": self.p,
+            "s": self.profile.s,
+            "p": self.profile.p,
+            "L": self.profile.L,
             "kappa": self.kappa,
             "mu0": self.mu0,
             "E0": self.E0,
@@ -385,22 +373,20 @@ def _radial_energy(omega, psi, meas, profile):
     return 0.5 * kin - jint, kin, jint
 
 
-def _initial_patch(profile, params, kappa):
+def _initial_patch(profile, kappa):
     """Trial patch with positive energy: density r^-2 on the disk of radius
     a*r (a = sqrt(kappa/pi)), with r picked from a coarse dyadic scan."""
     a = math.sqrt(kappa / math.pi)
+    s, c_s = profile.s, riesz_constant(profile.s)
     # unit-disk self-energy of the free kernel, once, on a small radial grid
     # (the sizing matrix that _solve_sized's coarse pass shares)
     nr0 = 96
     dr0 = 1.0 / nr0
-    r0 = (np.arange(nr0) + 0.5) * dr0
-    m0 = dr0 ** (2.0 * params.s) * _unit_ring_matrix(nr0, 64, params.s)
-    meas0 = math.pi * ((r0 + 0.5 * dr0) ** 2 - (r0 - 0.5 * dr0) ** 2)
-    t1 = float(np.sum(meas0 * (m0 @ np.ones(nr0)))) / params.c_s
+    m0 = dr0 ** (2.0 * s) * _unit_ring_matrix(nr0, 64, s)
+    t1 = float(np.sum(annulus_areas(nr0, dr0) * (m0 @ np.ones(nr0)))) / c_s
     best = None
     for r in [2.0 ** k for k in range(0, 7)]:
-        kin = 0.5 * params.c_s * a ** (2 + 2 * params.s) * t1 * r ** (
-            2 * params.s - 2)
+        kin = 0.5 * c_s * a ** (2 + 2 * s) * t1 * r ** (2 * s - 2)
         jint = float(profile.J(r ** -2)) * math.pi * (a * r) ** 2
         e = kin - jint
         if best is None or e > best[0]:
@@ -427,17 +413,16 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     Returns a LimitingSolution whose Euler-Lagrange residual
     ||w - f((G w - mu)_+)||_1 / kappa is below tol.
     """
-    params = KernelParams(s)
     profile = check_profile(s, p, kappa, L)
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")
-    return _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
-                        max_iter, warnings)
+    return _solve_sized(profile, kappa, nr, rmax, n_angles, tol, max_iter,
+                        warnings)
 
 
-def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
-                 max_iter, warnings):
+def _solve_sized(profile, kappa, nr, rmax, n_angles, tol, max_iter,
+                 warnings):
     """Solve on [0, rmax], doubling rmax once when the support touches
     0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
     the patch estimate can be off by an order of magnitude when the ground
@@ -448,13 +433,13 @@ def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
     radius holding 99% of kappa spans fewer than nr/16 cells is recorded
     as an under-resolved warning: the support radius alone passes a state
     collapsed into one cell over a faint tail."""
-    r_patch, support_est, _ = _initial_patch(profile, params, kappa)
+    r_patch, support_est, _ = _initial_patch(profile, kappa)
 
     def solve(nr, rmax, n_angles, tol, warnings, sizing=False):
         for attempt in range(2):
             sol = _solve_limiting_on(
-                profile, params, kappa, nr, rmax, n_angles, tol, max_iter,
-                r_patch, warnings, sizing)
+                profile, kappa, nr, rmax, n_angles, tol, max_iter, r_patch,
+                warnings, sizing)
             if sol.support_radius <= 0.9 * rmax:
                 return sol
             if attempt == 0:
@@ -478,15 +463,16 @@ def _solve_sized(profile, params, kappa, nr, rmax, n_angles, tol,
     return sol
 
 
-def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
-                       max_iter, r_patch, warnings, sizing):
+def _solve_limiting_on(profile, kappa, nr, rmax, n_angles, tol, max_iter,
+                       r_patch, warnings, sizing):
+    s = profile.s
     dr = rmax / nr
     r = (np.arange(nr) + 0.5) * dr
-    meas = math.pi * ((np.arange(nr) + 1) ** 2 - np.arange(nr) ** 2) * dr ** 2
+    meas = annulus_areas(nr, dr)
     if sizing:
-        M = dr ** (2.0 * params.s) * _unit_ring_matrix(nr, n_angles, params.s)
+        M = dr ** (2.0 * s) * _unit_ring_matrix(nr, n_angles, s)
     else:
-        M = ring_potential_matrix(r, r, dr, params, n_angles=n_angles)
+        M = ring_potential_matrix(r, r, dr, s, n_angles=n_angles)
 
     a_patch = math.sqrt(kappa / math.pi) * r_patch
     omega = np.where(r < a_patch, r_patch ** -2.0, 0.0)
@@ -511,7 +497,7 @@ def _solve_limiting_on(profile, params, kappa, nr, rmax, n_angles, tol,
     nz = np.nonzero(omega > 1e-12 * omega.max())[0]
     support_radius = float(r[nz[-1]] + 0.5 * dr) if nz.size else 0.0
     sol = LimitingSolution(
-        s=profile.s, p=profile.p, L=profile.L, kappa=kappa,
+        profile=profile, kappa=kappa,
         omega0=RadialField(nr, rmax, omega), mu0=mu,
         E0=energy, kinetic=kin, j_integral=jint,
         support_radius=support_radius, iterations=it,
@@ -530,7 +516,7 @@ def virial_residual(sol: LimitingSolution) -> float:
     """Scaling-stationarity mismatch |(s-1) A - (2-2g) B| normalized by the
     magnitudes of the two sides (A = int w G w, B = int J(w))."""
     gamma = sol.profile.gamma
-    lhs = (sol.s - 1.0) * sol.kinetic
+    lhs = (sol.profile.s - 1.0) * sol.kinetic
     rhs = (2.0 - 2.0 * gamma) * sol.j_integral
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs))
 
@@ -540,7 +526,7 @@ def _multiplier_residuals(sol: LimitingSolution) -> dict:
     (kappa mu = A - gamma B and kappa mu = A_gamma E0) against the solver's
     mu and against each other."""
     gamma = sol.profile.gamma
-    consts = compute_struct_constants(sol.s, sol.p, L=sol.L, kappa=sol.kappa)
+    consts = compute_struct_constants(sol.profile, kappa=sol.kappa)
     mu_from_integrals = (sol.kinetic - gamma * sol.j_integral) / sol.kappa
     mu_from_energy = consts.A_gamma * sol.E0 / sol.kappa
     scale = max(abs(sol.mu0), abs(mu_from_integrals), abs(mu_from_energy))
@@ -565,18 +551,8 @@ class Limiting2DState:
     psi: np.ndarray
     mu: float
     E0: float
-    s: float
-    p: float
-    L: float
+    profile: PowerProfile
     kappa: float
-
-    @property
-    def params(self):
-        return KernelParams(self.s)
-
-    @property
-    def profile(self):
-        return PowerProfile(p=self.p, s=self.s, L=self.L)
 
 
 def radial_to_field(radial: RadialField, grid: Grid2D,
@@ -599,15 +575,15 @@ def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
     w = _BOX_FACTOR * sol.support_radius
     grid = Grid2D(n, n, -w, w, -w, w)
     f = radial_to_field(sol.omega0, grid)
-    profile, params, kappa = sol.profile, sol.params, sol.kappa
+    profile, kappa = sol.profile, sol.kappa
     a = grid.cell_area
     vals = f.values * (kappa / (np.sum(f.values) * a))
     meas = np.full(vals.shape, a)
 
     def evaluate(x):
         field = Field2D(grid, x, nonneg=True)
-        psi = potential_free_grid(field, params)
-        return energy_E0(field, profile, params, psi), psi
+        psi = potential_free_grid(field, profile.s)
+        return energy_E0(field, profile, psi), psi
 
     vals, psi, mu, e0, *_ = constrained_ascent(
         vals, evaluate,
@@ -616,8 +592,7 @@ def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
         tol=polish_tol, max_iter=polish_iters, anderson=False, mu=sol.mu0,
         name="2D polish")
     return Limiting2DState(field=Field2D(grid, vals, nonneg=True), psi=psi,
-                           mu=mu, E0=e0, s=sol.s, p=sol.p, L=sol.L,
-                           kappa=kappa)
+                           mu=mu, E0=e0, profile=profile, kappa=kappa)
 
 
 def _linearization(state: Limiting2DState):
@@ -628,8 +603,7 @@ def _linearization(state: Limiting2DState):
         raise RegimeError("linearized operator needs p > 1")
     coeff = profile.p * profile.L_gamma * np.clip(
         state.psi - state.mu, 0.0, None) ** (profile.p - 1.0)
-    consts = compute_struct_constants(state.s, state.p, L=state.L,
-                                      kappa=state.kappa)
+    consts = compute_struct_constants(profile, kappa=state.kappa)
     return coeff, consts.A_gamma * state.mu / state.kappa
 
 
@@ -642,7 +616,7 @@ def linearized_apply(phi: Field2D, state: Limiting2DState,
     coeff, r_mean = _linearization(state)
     if phi.grid != state.field.grid:
         raise DomainError("phi must live on the state's grid")
-    gphi = potential_free_grid(phi, state.params)
+    gphi = potential_free_grid(phi, state.profile.s)
     out = phi.values - coeff * gphi
     if include_mean_term:
         mean = float(np.sum(phi.values) * phi.grid.cell_area)
@@ -713,9 +687,9 @@ def _gap_dense(state, coeff, mask, r_mean):
     n = xs.shape[0]
     d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, 1.0)
-    params = state.params
-    M = params.c_s * d2 ** (params.s - 1.0) * a
-    np.fill_diagonal(M, singular_cell_weight(grid.h1, params))
+    s = state.profile.s
+    M = riesz_constant(s) * d2 ** (s - 1.0) * a
+    np.fill_diagonal(M, singular_cell_weight(grid.h1, s))
     L = np.eye(n) - coeff[mask][:, None] * (M - r_mean * a)
     sv_all = np.linalg.svd(L, compute_uv=False)
     Q = _constraint_basis(grid, mask)[mask.ravel()]
@@ -730,7 +704,7 @@ def _gap_dense(state, coeff, mask, r_mean):
 def _gap_iterative(state, coeff, mask, r_mean, n_cells):
     grid = state.field.grid
     a = grid.cell_area
-    params = state.params
+    s = state.profile.s
     Q = _constraint_basis(grid, mask)
     flat_mask = mask.ravel()
 
@@ -740,7 +714,7 @@ def _gap_iterative(state, coeff, mask, r_mean, n_cells):
 
     def pot(v):
         f = Field2D(grid, v.reshape(grid.ny, grid.nx))
-        return potential_free_grid(f, params).ravel()
+        return potential_free_grid(f, s).ravel()
 
     cflat = coeff.ravel()
 

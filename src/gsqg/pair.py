@@ -16,6 +16,7 @@ full-plane weak form of the traveling wave, the recentred residual operator
 sup norm, and the rearrangement-class ascent.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -34,7 +35,6 @@ from .fields import (
     steiner_symmetrize_x2,
 )
 from .kernels import (
-    KernelParams,
     potential_free_grid,
     potential_halfplane_grid,
     velocity_pair_grid,
@@ -61,36 +61,27 @@ class ConstraintActiveError(GsqgError, RuntimeError):
 
 @dataclass(frozen=True)
 class PairProblem:
-    """Model parameters plus the support-constraint geometry."""
+    """The model (profile: s, p, L) and mass kappa, plus the speed W and
+    the support-constraint geometry of eps."""
 
-    s: float
-    p: float
+    profile: PowerProfile
     kappa: float = 1.0
     W: float = 1.0
     eps: float = 0.1
-    L: float = None  # canonical p/(p+1) when None
 
     def __post_init__(self):
         if self.eps <= 0 or self.W <= 0 or self.kappa <= 0:
             raise ParameterError("eps, W, kappa must be positive")
 
-    @property
-    def profile(self):
-        return PowerProfile(p=self.p, s=self.s, L=self.L)
-
-    @property
-    def params(self):
-        return KernelParams(self.s)
-
-    @property
+    @functools.cached_property
     def constants(self):
-        return compute_struct_constants(self.s, self.p, L=self.L,
-                                        kappa=self.kappa, W=self.W)
+        return compute_struct_constants(self.profile, kappa=self.kappa,
+                                        W=self.W)
 
     @property
     def speed(self):
         """Traveling speed Wcal = W * eps^(3-2s)."""
-        return self.W * self.eps ** (3.0 - 2.0 * self.s)
+        return self.W * self.eps ** (3.0 - 2.0 * self.profile.s)
 
     @property
     def ball_center(self):
@@ -136,8 +127,8 @@ class PairSolution:
     def report(self):
         pb = self.problem
         return {
-            "s": pb.s, "p": pb.p, "kappa": pb.kappa, "W": pb.W,
-            "eps": pb.eps, "L": pb.L,
+            "s": pb.profile.s, "p": pb.profile.p, "L": pb.profile.L,
+            "kappa": pb.kappa, "W": pb.W, "eps": pb.eps,
             "mu_eps": self.mu,
             "d_eps": self.d_eps,
             "d0": pb.constants.d0,
@@ -195,7 +186,7 @@ def energy_E_eps(field: Field2D, problem: PairProblem, psi=None) -> float:
     """E = (1/2) int w G+ w - speed * int x1 w - int J(w); psi is the
     field's half-plane potential when the caller already has it."""
     if psi is None:
-        psi = potential_halfplane_grid(field, problem.params)
+        psi = potential_halfplane_grid(field, problem.profile.s)
     a = field.grid.cell_area
     kin = 0.5 * float(np.sum(field.values * psi)) * a
     return kin - problem.speed * impulse(field) - float(
@@ -209,7 +200,7 @@ def _location_sides(field: Field2D, problem: PairProblem):
     The image share of u2 is 2(1-s) c_s (x1+y1) |x-ybar|^(2s-4) against w(y),
     and the free share integrates to zero against w (odd kernel), so
     lhs = 2(1-s) c_s int int w(x)(x1+y1) w(y) |x-ybar|^(2s-4)."""
-    u2 = velocity_pair_grid(field, problem.params)[1]
+    u2 = velocity_pair_grid(field, problem.profile.s)[1]
     lhs = -float(np.sum(field.values * u2)) * field.grid.cell_area
     return lhs, problem.speed * problem.kappa
 
@@ -232,7 +223,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
     Raises ConstraintActiveError when the converged support touches the
     constraint ball (the asymptotic regime's red flag) unless allow_active.
     """
-    profile, params = problem.profile, problem.params
+    profile = problem.profile
     warnings = list(limiting.warnings)
     r_hat = limiting.support_radius
     if problem.ball_radius < 4.0 * r_hat:
@@ -270,7 +261,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
     def evaluate(w):
         """Energy and half-plane potential of an iterate."""
         f = Field2D(grid, w)
-        psi_w = potential_halfplane_grid(f, params)
+        psi_w = potential_halfplane_grid(f, profile.s)
         return energy_E_eps(f, problem, psi_w), psi_w
 
     def target(psi, mu):
@@ -308,13 +299,13 @@ def rebuild_solution(problem: PairProblem, field: Field2D) -> PairSolution:
     comes from one cold-started multiplier solve, so a reload reproduces
     the solver's mu bitwise).  psi is the half-plane potential the solver
     iterates on; the image potential is the free potential minus psi."""
-    params, profile = problem.params, problem.profile
+    profile = problem.profile
     grid, vals = field.grid, field.values
     a = grid.cell_area
     X1, X2 = grid.centers()
     mask = ball_mask(grid, problem)
-    psi = potential_halfplane_grid(field, params)
-    psi_free = potential_free_grid(field, params)
+    psi = potential_halfplane_grid(field, profile.s)
+    psi_free = potential_free_grid(field, profile.s)
     psi_eff = np.where(mask, psi - problem.speed * X1, -np.inf)
     mu, f_new = solve_multiplier(psi_eff, np.full(mask.shape, a), profile,
                                  problem.kappa)
@@ -373,7 +364,7 @@ def multiplier_pair_residual(sol: PairSolution) -> dict:
     from the structural constants."""
     pb = sol.problem
     c = pb.constants
-    gamma = pb.profile.gamma
+    s, gamma = pb.profile.s, pb.profile.gamma
     speed_I = pb.speed * sol.impulse
     # mu * kappa = A E0 + B * speed * I + C * cross
     lhs = sol.mu * pb.kappa
@@ -383,8 +374,8 @@ def multiplier_pair_residual(sol: PairSolution) -> dict:
     r_mu = abs(lhs - rhs) / scale
     # int w G w = (2-2g)/(s-1) int J + speed I/(s-1) + cross
     lhs2 = sol.kinetic_free
-    rhs2 = ((2.0 - 2.0 * gamma) / (pb.s - 1.0) * sol.j_integral
-            + speed_I / (pb.s - 1.0) + sol.cross_image)
+    rhs2 = ((2.0 - 2.0 * gamma) / (s - 1.0) * sol.j_integral
+            + speed_I / (s - 1.0) + sol.cross_image)
     r_scal = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))
     return {"identity_mu": r_mu, "identity_scaling": r_scal}
 
@@ -409,7 +400,7 @@ def s_eps_norm(sol: PairSolution):
     X1 = g.centers()[0]
     t1 = -pb.speed * X1[supp]
     t2 = -sol.psi_image[supp]
-    t3 = -c.B_gamma * pb.W * pb.eps ** (2.0 - 2.0 * pb.s) * sol.d_eps
+    t3 = -c.B_gamma * pb.W * pb.eps ** (2.0 - 2.0 * pb.profile.s) * sol.d_eps
     t4 = -(c.C_gamma / pb.kappa) * sol.cross_image
     s_val = t1 + t2 + t3 + t4
     sup = float(np.max(np.abs(s_val)))
@@ -544,7 +535,7 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
     non-decreasing; stalls return the best iterate with a flag."""
     if np.any(reference.values < 0):
         raise DomainError("rearrangement ascent needs a nonnegative reference")
-    params = problem.params
+    s = problem.profile.s
     g = reference.grid
     x1row = g.x1_centers()
     ref_sorted = np.sort(reference.values, axis=None)[::-1]
@@ -554,7 +545,7 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
         raise DomainError("start must be a rearrangement of the reference")
     # one potential per step: an accepted iterate's energy and its next
     # step share it
-    psi = potential_halfplane_grid(zeta, params)
+    psi = potential_halfplane_grid(zeta, s)
     trace = [rearrangement_energy(zeta, problem, psi)]
     stalled = True
     for _ in range(max_iter):
@@ -566,7 +557,7 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
         if np.array_equal(new.values, zeta.values):
             stalled = False
             break
-        zeta, psi = new, potential_halfplane_grid(new, params)
+        zeta, psi = new, potential_halfplane_grid(new, s)
         trace.append(rearrangement_energy(zeta, problem, psi))
         if len(trace) > 2 and abs(trace[-1] - trace[-2]) <= _STALL_TOL * max(
                 1.0, abs(trace[-2])):

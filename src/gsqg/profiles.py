@@ -1,9 +1,11 @@
-"""Vorticity profile f, its primitive-dual J, and structural constants.
+"""The model: vorticity profile f, its primitive-dual J, the kernel order s,
+and the structural constants.
 
 The profile is the power law f(t) = t_+^p with dual
 J(t) = L t^gamma, gamma = 1 + 1/p.  Constructing J from f as the primitive
 of f^{-1} gives the canonical coefficient L = p/(p+1), for which
-(J')^{-1}(tau) = tau_+^p exactly.
+(J')^{-1}(tau) = tau_+^p exactly.  A PowerProfile holds (s, p, L), the
+model every solver object carries; the mass kappa stays with the problem.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,8 @@ from .kernels import riesz_constant
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """f(t) = t_+^p together with J(t) = L t^(1+1/p)."""
+    """f(t) = t_+^p together with J(t) = L t^(1+1/p) and the kernel
+    order s of the model."""
 
     p: float
     s: float
@@ -85,8 +88,10 @@ class StructConstants:
     c_s: float
 
 
-def compute_struct_constants(s, p, L=None, kappa=1.0, W=1.0) -> StructConstants:
-    """With gamma = 1 + 1/p, evaluate the identity coefficients
+def compute_struct_constants(profile: PowerProfile, kappa=1.0,
+                             W=1.0) -> StructConstants:
+    """With s and gamma = 1 + 1/p of the profile, evaluate the identity
+    coefficients
 
         A = (2 - gamma - s*gamma) / (2 - s - gamma)
         B = (2 - s)/(s - 1) - (2 - gamma - gamma*s) / (2 (s-1)(2 - s - gamma))
@@ -95,11 +100,12 @@ def compute_struct_constants(s, p, L=None, kappa=1.0, W=1.0) -> StructConstants:
     together with the limiting half-separation
     d0 = ((1-s) c_s kappa / (2^(2-2s) W))^(1/(3-2s)).
     """
-    gamma = PowerProfile(p=p, s=s, L=L).gamma
+    s, gamma = profile.s, profile.gamma
     denom = 2.0 - s - gamma
     if abs(denom) < 1e-14:
         raise DegenerateConstantError(
-            f"2 - s - gamma vanishes at s={s}, p={p}; identity constants blow up")
+            f"2 - s - gamma vanishes at s={s}, p={profile.p}; identity "
+            "constants blow up")
     if kappa <= 0 or W <= 0:
         raise ParameterError("kappa and W must be positive")
     num = 2.0 - gamma - s * gamma

@@ -39,10 +39,11 @@ def pair_regime(limiting_regime):
     n = 256 keeps the lattice bias of the measured center of mass below the
     O(eps^2) location signal the rate tests read off."""
     from gsqg.pair import PairProblem, solve_pair
+    from gsqg.profiles import PowerProfile
     out = {}
     for eps in EPS_SET:
-        problem = PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=eps,
-                              L=REGIME_L)
+        problem = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L),
+                              kappa=1.0, W=1.0, eps=eps)
         out[eps] = solve_pair(problem, n=256, limiting=limiting_regime,
                               tol=1e-6, max_iter=3000)
     return out
@@ -53,7 +54,9 @@ def pair_canonical_diagnosed(limiting_canonical):
     """The canonical-parameter solve at eps=0.1: constraint-active by
     necessity; returned with the diagnosis for tests that probe it."""
     from gsqg.pair import PairProblem, solve_pair
-    problem = PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.1)
+    from gsqg.profiles import PowerProfile
+    problem = PairProblem(PowerProfile(p=1.5, s=0.5), kappa=1.0, W=1.0,
+                          eps=0.1)
     return solve_pair(problem, n=128, limiting=limiting_canonical,
                       tol=1e-6, max_iter=1500, allow_active=True)
 

@@ -40,7 +40,7 @@ def line(num, ok, detail):
 def test_criterion_1_constants():
     """Constant correctness: c_{1/2} and the identity coefficients."""
     from gsqg.kernels import riesz_constant
-    from gsqg.profiles import compute_struct_constants
+    from gsqg.profiles import PowerProfile, compute_struct_constants
 
     c = riesz_constant(0.5)
     ok_c = abs(c - 1.0 / (2.0 * math.pi)) <= 1e-12 / (2.0 * math.pi)
@@ -50,7 +50,7 @@ def test_criterion_1_constants():
     exact = (num / den,
              (2 - s) / (s - 1) - num / (2 * (s - 1) * den),
              -num / (2 * den))
-    got = compute_struct_constants(0.5, 1.5)
+    got = compute_struct_constants(PowerProfile(p=1.5, s=0.5))
     ok_abc = (exact == (Fraction(3), Fraction(0), Fraction(-3, 2))
               and abs(got.A_gamma - 3.0) < 1e-12
               and abs(got.B_gamma) < 1e-12
@@ -67,15 +67,14 @@ def test_criterion_2_quadrature_oracle():
     """Unit-disk potential at the center: 1.0 within 2% at 256^2,
     improving >= 1.5x at 512^2."""
     from gsqg.fields import Field2D, Grid2D
-    from gsqg.kernels import KernelParams, direct_sum
+    from gsqg.kernels import direct_sum
 
-    params = KernelParams(0.5)
     err = {}
     for n in (256, 512):
         g = Grid2D(n, n, -1.2, 1.2, -1.2, 1.2)
         X1, X2 = g.centers()
         f = Field2D(g, (X1 ** 2 + X2 ** 2 <= 1.0).astype(float), nonneg=True)
-        err[n] = abs(direct_sum(f, [[0.0, 0.0]], params)[0] - 1.0)
+        err[n] = abs(direct_sum(f, [[0.0, 0.0]], 0.5)[0] - 1.0)
     ok = err[256] <= 0.02 and err[256] / err[512] >= 1.5
     line(2, ok, f"center error {err[256]:.2e} at 256^2, "
                 f"improvement x{err[256] / err[512]:.2f} at 512^2")
@@ -155,6 +154,7 @@ def test_criterion_5_pair_identities(pair_regime, limiting_regime,
         multiplier_pair_residual,
         solve_pair,
     )
+    from gsqg.profiles import PowerProfile
 
     sol = pair_regime[0.1]
     loc = location_residual(sol)[2]
@@ -173,7 +173,8 @@ def test_criterion_5_pair_identities(pair_regime, limiting_regime,
 
     companion = False
     try:
-        solve_pair(PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.1),
+        solve_pair(PairProblem(PowerProfile(p=1.5, s=0.5), kappa=1.0, W=1.0,
+                               eps=0.1),
                    n=96, limiting=limiting_canonical, tol=1e-5, max_iter=1500)
     except ConstraintActiveError:
         companion = True
@@ -236,8 +237,9 @@ def test_criterion_6_asymptotic_rates(pair_regime):
 @pytest.fixture(scope="module")
 def pair_regime_128(limiting_regime):
     from gsqg.pair import PairProblem, solve_pair
-    problem = PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.1,
-                          L=REGIME_L)
+    from gsqg.profiles import PowerProfile
+    problem = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), kappa=1.0,
+                          W=1.0, eps=0.1)
     return solve_pair(problem, n=128, limiting=limiting_regime, tol=1e-6,
                       max_iter=3000)
 
@@ -277,9 +279,8 @@ def test_criterion_8_rearrangement_properties():
         steiner_symmetrize_x2,
         weak_closure_membership,
     )
-    from gsqg.kernels import KernelParams, potential_halfplane_grid
+    from gsqg.kernels import potential_halfplane_grid
 
-    params = KernelParams(0.5)
     rng = np.random.default_rng(2024)
     worst_drop = 0.0
     sorted_ok = True
@@ -294,8 +295,8 @@ def test_criterion_8_rearrangement_properties():
                                   np.sort(fs.values[:, i])):
                 sorted_ok = False
         a = g.cell_area
-        e0 = float(np.sum(f.values * potential_halfplane_grid(f, params))) * a
-        e1 = float(np.sum(fs.values * potential_halfplane_grid(fs, params))) * a
+        e0 = float(np.sum(f.values * potential_halfplane_grid(f, 0.5))) * a
+        e1 = float(np.sum(fs.values * potential_halfplane_grid(fs, 0.5))) * a
         worst_drop = min(worst_drop, (e1 - e0) / abs(e0))
 
         closure_ok &= all(r.ok for r in weak_closure_membership(f, f))
@@ -360,11 +361,11 @@ def test_criterion_10_stability_probe(pair_regime):
     sol = pair_regime[0.1]
     f = sol.omega
     pb = sol.problem
-    u1, u2 = velocity_pair_grid(f, pb.params)
+    u1, u2 = velocity_pair_grid(f, pb.profile.s)
     tau = 2.0 * math.pi * sol.support_radius / float(np.max(np.hypot(u1, u2)))
     T = 5.0 * tau
     cfg = EvolutionConfig(T=T, diag_every=200)
-    rep = evolve(f, pb.params, cfg, reference=f, speed_hint=pb.speed)
+    rep = evolve(f, pb.profile.s, cfg, reference=f, speed_hint=pb.speed)
     x1 = f.grid.x1_centers()
     norm = (lp_norm(f, 1) + lp_norm(f, 2)
             + float(np.sum(np.abs(f.values) * x1[None, :])
@@ -378,7 +379,7 @@ def test_criterion_10_stability_probe(pair_regime):
         trials.append(("bump", 0.10, seed))
         trials.append(("bump", 0.05, seed))
     cfg_tr = EvolutionConfig(T=T / 8.0, diag_every=100)
-    rows = stability_experiment(f, pb.params, trials, cfg_tr,
+    rows = stability_experiment(f, pb.profile.s, trials, cfg_tr,
                                 speed_hint=pb.speed, seed=0)
     ordered = 0
     for seed in range(5):

@@ -437,6 +437,50 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+    def test_pair_file_with_null_L_still_loads(self, tmp_path):
+        # pair files written before the resolved L was recorded carry
+        # "L": null, which stands for the canonical L = p/(p+1)
+        new = tmp_path / "new"
+        assert run(["solve-pair", "--s", 0.5, "--p", 1.5, "--kappa", 1,
+                    "--W", 1, "--eps", "0.1", "--n", "64", "--allow-active",
+                    "--out", new] + FAST) == 0
+        rep = json.loads((new / "pair_eps0p1.json").read_text())
+        assert rep["L"] == 1.5 / 2.5
+        old = tmp_path / "old"
+        shutil.copytree(new, old)
+        rep["L"] = None
+        (old / "pair_eps0p1.json").write_text(json.dumps(rep))
+        codes, tables = [], []
+        for src in (new, old):
+            codes.append(run(["verify", "--run", src, "--out", src / "v"]))
+            tables.append((src / "v" / "verify.json").read_bytes())
+        assert codes[0] == codes[1] and codes[0] in (0, 3)
+        assert tables[0] == tables[1]
+        assert run(["evolve", "--run", old, "--out", old / "e",
+                    "--T", "0.01"]) == 0
+        assert run(["rearrange", "--run", old, "--out", old / "r"]) == 0
+
+    @pytest.mark.parametrize("key,value", [("s", 1.2), ("p", 0)])
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["evolve", "--T", "0.01"], ["rearrange"]])
+    def test_pair_file_out_of_range_exits_usage(
+            self, pair_run_two_eps, tmp_path, capsys, command, key, value):
+        # a damaged model fails when the pair file is loaded, before the
+        # command opens its run directory
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run_two_eps, bad)
+        rep = json.loads((bad / "pair_eps0p1.json").read_text())
+        rep[key] = value
+        (bad / "pair_eps0p1.json").write_text(json.dumps(rep))
+        out = tmp_path / "o"
+        code = run([command[0], "--run", bad, "--out", out] + command[1:])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvolveCmd:
     def test_unperturbed_trajectory(self, pair_run, tmp_path):
         out = tmp_path / "evo"

@@ -21,7 +21,7 @@ from gsqg.evolution import (
     window_outflow,
 )
 from gsqg.fields import Field2D, Grid2D, lp_norm, mass
-from gsqg.kernels import KernelParams, velocity_pair_grid
+from gsqg.kernels import riesz_constant, velocity_pair_grid
 
 
 def blob_field(n=96, center=(2.0, 0.0), radius=0.4, x1span=(1.0, 3.0)):
@@ -33,7 +33,7 @@ def blob_field(n=96, center=(2.0, 0.0), radius=0.4, x1span=(1.0, 3.0)):
     return Field2D(g, vals, nonneg=True)
 
 
-PARAMS = KernelParams(0.5)
+S = 0.5  # kernel order of the module's fields
 
 
 def _sample_bicubic_reference(arr, fx, fy):
@@ -119,18 +119,18 @@ class TestVelocity:
         f = blob_field(n=128, center=(a, 0.0), radius=0.35,
                        x1span=(a - 1.0, a + 1.0))
         kappa = mass(f)
-        u = direct_sum(f, [[a, 0.0]], PARAMS, velocity=True,
+        u = direct_sum(f, [[a, 0.0]], S, velocity=True,
                        halfplane=True)[0]
-        expect = -PARAMS.c_s * (2 - 2 * PARAMS.s) * kappa \
-            * (2 * a) ** (2 * PARAMS.s - 3)
+        expect = -riesz_constant(S) * (2 - 2 * S) * kappa \
+            * (2 * a) ** (2 * S - 3)
         assert u[1] == pytest.approx(expect, rel=0.05)
         assert abs(u[0]) < 0.05 * abs(expect)
 
     def test_linearity(self):
         f = blob_field(n=48)
-        u1a, u2a = velocity_pair_grid(f, PARAMS)
+        u1a, u2a = velocity_pair_grid(f, S)
         f2 = Field2D(f.grid, 2.0 * f.values, nonneg=True)
-        u1b, u2b = velocity_pair_grid(f2, PARAMS)
+        u1b, u2b = velocity_pair_grid(f2, S)
         np.testing.assert_allclose(u1b, 2 * u1a, rtol=1e-12, atol=1e-16)
         np.testing.assert_allclose(u2b, 2 * u2a, rtol=1e-12, atol=1e-16)
 
@@ -348,7 +348,7 @@ class TestEvolve:
     def test_short_run_diagnostics(self):
         f = blob_field(n=64)
         cfg = EvolutionConfig(T=0.3, diag_every=5, snapshot_every=2)
-        rep = evolve(f, PARAMS, cfg, reference=f)
+        rep = evolve(f, S, cfg, reference=f)
         assert rep.steps >= 1
         assert rep.drift("mass") <= 1e-3
         assert all(rep.linf[i + 1] <= rep.linf[i] * (1 + 1e-14)
@@ -362,31 +362,31 @@ class TestEvolve:
     def test_cfl_halving_then_abort(self):
         # dt at 2^k times the CFL step: k halvings are allowed, k + 1 not
         f = blob_field(n=48)
-        u1, u2 = velocity_pair_grid(f, PARAMS)
+        u1, u2 = velocity_pair_grid(f, S)
         dt_cfl = 0.4 * f.grid.h1 / float(np.max(np.hypot(u1, u2)))
         dt = 2 ** _MAX_DT_HALVINGS * dt_cfl
-        rep = evolve(f, PARAMS, EvolutionConfig(T=dt, dt=dt))
+        rep = evolve(f, S, EvolutionConfig(T=dt, dt=dt))
         assert rep.steps == 2 ** _MAX_DT_HALVINGS
         assert sum("dt halved" in m for m in rep.flags) == _MAX_DT_HALVINGS
         with pytest.raises(ConvergenceError):
-            evolve(f, PARAMS, EvolutionConfig(T=4 * dt, dt=4 * dt))
+            evolve(f, S, EvolutionConfig(T=4 * dt, dt=4 * dt))
 
     def test_negative_input_rejected(self):
         g = Grid2D(8, 8, 0.0, 1.0, -0.5, 0.5)
         f = Field2D(g, -np.ones((8, 8)))
         with pytest.raises(DomainError):
-            evolve(f, PARAMS, EvolutionConfig(T=0.1))
+            evolve(f, S, EvolutionConfig(T=0.1))
 
     def test_steady_pair_stays_put_short_horizon(self, pair_regime):
         # the converged traveling profile under its own dynamics: over a
         # couple hundred steps the orbital distance stays at the scheme floor
         sol = pair_regime[0.2]
         f = sol.omega
-        u1, u2 = velocity_pair_grid(f, sol.problem.params)
+        u1, u2 = velocity_pair_grid(f, sol.problem.profile.s)
         h = min(f.grid.h1, f.grid.h2)
         dt = 0.4 * h / float(np.max(np.hypot(u1, u2)))
         cfg = EvolutionConfig(T=200 * dt, dt=dt, diag_every=50)
-        rep = evolve(f, sol.problem.params, cfg, reference=f,
+        rep = evolve(f, sol.problem.profile.s, cfg, reference=f,
                      speed_hint=sol.problem.speed)
         x1 = f.grid.x1_centers()
         norm = (lp_norm(f, 1) + lp_norm(f, 2)
@@ -416,12 +416,12 @@ class TestPerturbations:
     def test_experiment_rows(self, pair_regime):
         sol = pair_regime[0.2]
         f = sol.omega
-        u1, u2 = velocity_pair_grid(f, sol.problem.params)
+        u1, u2 = velocity_pair_grid(f, sol.problem.profile.s)
         h = min(f.grid.h1, f.grid.h2)
         dt = 0.4 * h / float(np.max(np.hypot(u1, u2)))
         cfg = EvolutionConfig(T=30 * dt, dt=dt, diag_every=10)
         rows = stability_experiment(
-            f, sol.problem.params,
+            f, sol.problem.profile.s,
             [("none", 0.0, 0), ("bump", 0.04, 1), ("bump", 0.02, 1)],
             cfg, speed_hint=sol.problem.speed, seed=0)
         assert rows[0]["delta_meas"] == 0.0

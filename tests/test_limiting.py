@@ -14,7 +14,7 @@ from gsqg.errors import (
     ResourceLimitError,
 )
 from gsqg.fields import Field2D, Grid2D, RadialField, lp_norm
-from gsqg.kernels import KernelParams, potential_free_grid
+from gsqg.kernels import potential_free_grid, riesz_constant
 from gsqg.limiting import (
     _DAMPING,
     _RESIDUAL_FLOOR,
@@ -38,7 +38,7 @@ from gsqg.limiting import (
 from gsqg.profiles import PowerProfile
 
 
-def _ring_matrix_broadcast(r_targets, r_nodes, dr, params, n_angles):
+def _ring_matrix_broadcast(r_targets, r_nodes, dr, s, n_angles):
     """Reference: the plain broadcast over (target, annulus, angle), with
     the segment term taken separately at the outer and inner radii."""
     r_targets = np.asarray(r_targets, dtype=float)
@@ -47,7 +47,7 @@ def _ring_matrix_broadcast(r_targets, r_nodes, dr, params, n_angles):
     sin_a, cos_a = np.sin(ang), np.cos(ang)
     R2o = r_nodes + 0.5 * dr
     R1o = np.clip(r_nodes - 0.5 * dr, 0.0, None)
-    two_s = 2.0 * params.s
+    two_s = 2.0 * s
     r = r_targets[:, None, None]
     b = r * cos_a[None, None, :]
     rs2 = (r * sin_a[None, None, :]) ** 2
@@ -60,24 +60,24 @@ def _ring_matrix_broadcast(r_targets, r_nodes, dr, params, n_angles):
         return np.where(g > 0.0, tp ** two_s - tm ** two_s, 0.0)
 
     val = seg(R2o) - seg(R1o)
-    return 2.0 * (params.c_s / two_s) * np.sum(val * w_ang[None, None, :],
-                                               axis=2)
+    return 2.0 * (riesz_constant(s) / two_s) * np.sum(
+        val * w_ang[None, None, :], axis=2)
 
 
 class TestRingMatrix:
     def test_against_adaptive_2d_quadrature(self):
         # one off-diagonal entry vs scipy's adaptive quadrature in polar form
-        params = KernelParams(0.5)
+        s = 0.5
         nr, rmax = 16, 2.0
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
-        M = ring_potential_matrix(r, r, dr, params, n_angles=192)
+        M = ring_potential_matrix(r, r, dr, s, n_angles=192)
         i, j = 5, 7
         R1, R2 = r[j] - 0.5 * dr, r[j] + 0.5 * dr
 
         def integrand(theta, rho):
             d2 = r[i] ** 2 + rho ** 2 - 2 * r[i] * rho * math.cos(theta)
-            return params.c_s * d2 ** (params.s - 1.0) * rho
+            return riesz_constant(s) * d2 ** (s - 1.0) * rho
 
         oracle, _ = dblquad(integrand, R1, R2, 0.0, 2.0 * math.pi,
                             epsabs=1e-12, epsrel=1e-10)
@@ -85,16 +85,16 @@ class TestRingMatrix:
 
     def test_diagonal_against_fft_grid(self):
         # potential of a radial blob: radial matrix vs the 2D grid route
-        params = KernelParams(0.5)
+        s = 0.5
         nr, rmax = 96, 3.0
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
         prof = np.clip(1.0 - (r / 1.5) ** 2, 0.0, None) ** 1.5
-        psi_radial = ring_potential_matrix(r, r, dr, params, 128) @ prof
+        psi_radial = ring_potential_matrix(r, r, dr, s, 128) @ prof
 
         g = Grid2D(384, 384, -3.0, 3.0, -3.0, 3.0)
         f = radial_to_field(RadialField(nr, rmax, prof), g)
-        psi2d = potential_free_grid(f, params)
+        psi2d = potential_free_grid(f, s)
         X1, X2 = g.centers()
         rr = np.hypot(X1, X2).ravel()
         order = np.argsort(rr)
@@ -103,12 +103,11 @@ class TestRingMatrix:
 
     def test_target_at_origin_closed_form(self):
         # disk annulus potential at the center: c_s 2 pi (R2^2s - R1^2s)/(2s)
-        params = KernelParams(0.7)
-        M = ring_potential_matrix(np.array([0.0]), np.array([1.0]), 0.5,
-                                  params, 64)
-        s = params.s
-        expect = params.c_s * 2 * math.pi * (1.25 ** (2 * s) - 0.75 ** (2 * s)) \
-            / (2 * s)
+        s = 0.7
+        M = ring_potential_matrix(np.array([0.0]), np.array([1.0]), 0.5, s,
+                                  64)
+        expect = riesz_constant(s) * 2 * math.pi \
+            * (1.25 ** (2 * s) - 0.75 ** (2 * s)) / (2 * s)
         assert M[0, 0] == pytest.approx(expect, rel=1e-10)
 
     # the blocked per-edge evaluation must reproduce the broadcast bitwise;
@@ -116,7 +115,6 @@ class TestRingMatrix:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("nr,n_angles", [(48, 48), (96, 64), (256, 64)])
     def test_matches_broadcast(self, s, nr, n_angles):
-        params = KernelParams(s)
         rmax = 2.5
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
@@ -124,25 +122,23 @@ class TestRingMatrix:
                               r[::7] * (1 + 1e-3)])
         for targets in (r, off):
             np.testing.assert_array_equal(
-                ring_potential_matrix(targets, r, dr, params, n_angles),
-                _ring_matrix_broadcast(targets, r, dr, params, n_angles))
+                ring_potential_matrix(targets, r, dr, s, n_angles),
+                _ring_matrix_broadcast(targets, r, dr, s, n_angles))
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_single_node_at_origin(self, s):
-        params = KernelParams(s)
-        args = (np.array([0.0]), np.array([1.0]), 0.5, params, 64)
+        args = (np.array([0.0]), np.array([1.0]), 0.5, s, 64)
         np.testing.assert_array_equal(ring_potential_matrix(*args),
                                       _ring_matrix_broadcast(*args))
 
     def test_peak_memory(self):
         # the broadcast at nr=256, n_angles=64 peaks near 220 MB
-        params = KernelParams(0.3)
         nr = 256
         dr = 3.0 / nr
         r = (np.arange(nr) + 0.5) * dr
         tracemalloc.start()
         try:
-            ring_potential_matrix(r, r, dr, params, 64)
+            ring_potential_matrix(r, r, dr, 0.3, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,11 +149,10 @@ class TestRingMatrix:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("dr", [1.0 / 96, 0.0235, 2.2613 / 96])
     def test_unit_matrix_rescales(self, s, dr):
-        params = KernelParams(s)
         r = (np.arange(96) + 0.5) * dr
         np.testing.assert_allclose(
             dr ** (2.0 * s) * _unit_ring_matrix(96, 64, s),
-            ring_potential_matrix(r, r, dr, params, 64), rtol=1e-12, atol=0)
+            ring_potential_matrix(r, r, dr, s, 64), rtol=1e-12, atol=0)
 
     def test_unit_matrix_is_read_only(self):
         M = _unit_ring_matrix(16, 8, 0.5)
@@ -170,7 +165,6 @@ class TestRingMatrix:
 class TestEnergyScaling:
     def test_dilation_family_exponents(self):
         # w_r(x) = r^-2 w(x/r): kernel term scales r^(2s-2), J term r^(2-2g)
-        params = KernelParams(0.5)
         prof = PowerProfile(p=1.5, s=0.5)
         n = 96
 
@@ -180,7 +174,7 @@ class TestEnergyScaling:
             vals = np.clip(1 - (X1 ** 2 + X2 ** 2) / rscale ** 2, 0, None) ** 2 \
                 / rscale ** 2
             f = Field2D(g, vals, nonneg=True)
-            psi = potential_free_grid(f, params)
+            psi = potential_free_grid(f, prof.s)
             kin = float(np.sum(vals * psi)) * g.cell_area
             jint = float(np.sum(prof.J(vals))) * g.cell_area
             return kin, jint
@@ -194,8 +188,7 @@ class TestEnergyScaling:
     def test_zero_field(self):
         g = Grid2D(8, 8, -1, 1, -1, 1)
         f = Field2D(g, np.zeros((8, 8)))
-        assert energy_E0(f, PowerProfile(p=1.5, s=0.5),
-                         KernelParams(0.5)) == 0.0
+        assert energy_E0(f, PowerProfile(p=1.5, s=0.5)) == 0.0
 
     def test_compositional_identity(self):
         rng = np.random.default_rng(0)
@@ -203,11 +196,10 @@ class TestEnergyScaling:
         vals = rng.random((24, 24))
         f = Field2D(g, vals, nonneg=True)
         prof = PowerProfile(p=1.5, s=0.5)
-        params = KernelParams(0.5)
-        psi = potential_free_grid(f, params)
+        psi = potential_free_grid(f, prof.s)
         expect = 0.5 * float(np.sum(vals * psi)) * g.cell_area \
             - float(np.sum(prof.J(vals))) * g.cell_area
-        assert energy_E0(f, prof, params) == pytest.approx(expect, rel=1e-13)
+        assert energy_E0(f, prof) == pytest.approx(expect, rel=1e-13)
 
 
 class TestMultiplierBisection:
@@ -310,8 +302,8 @@ class TestMultiplierNewton:
 
         lim = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=64, n_angles=48,
                              tol=1e-5)
-        problem = pair.PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.2,
-                                   L=0.1)
+        problem = pair.PairProblem(PowerProfile(p=1.5, s=0.5, L=0.1),
+                                   kappa=1.0, W=1.0, eps=0.2)
 
         def counts_of_one_solve():
             counts = []
@@ -365,13 +357,12 @@ class TestConstrainedAscent:
     def _radial(nr=48, rmax=0.4):
         # small radial ground-state problem (s 0.5, p 1.5, L 0.1; support
         # radius ~0.12) started from a uniform disk of radius 0.2
-        params = KernelParams(0.5)
         prof = PowerProfile(p=1.5, s=0.5, L=0.1)
         dr = rmax / nr
         r = (np.arange(nr) + 0.5) * dr
         meas = math.pi * ((np.arange(nr) + 1) ** 2
                           - np.arange(nr) ** 2) * dr ** 2
-        M = ring_potential_matrix(r, r, dr, params, n_angles=48)
+        M = ring_potential_matrix(r, r, dr, prof.s, n_angles=48)
         x0 = np.where(r < 0.2, 1.0, 0.0)
         x0 /= float(np.sum(meas * x0))
         residuals = []
@@ -471,8 +462,7 @@ class TestConstrainedAscent:
 class TestSolveLimiting:
     def test_initial_patch_has_positive_energy(self):
         prof = PowerProfile(p=1.5, s=0.5)
-        params = KernelParams(0.5)
-        _, _, energy = _initial_patch(prof, params, kappa=1.0)
+        _, _, energy = _initial_patch(prof, kappa=1.0)
         assert energy > 0
 
     def test_invariants_at_reference_point(self, limiting_canonical):
@@ -499,7 +489,7 @@ class TestSolveLimiting:
         sol = limiting_canonical
         r = sol.omega0.radii()
         squeezed = np.interp(squeeze * r, r, sol.omega0.values, right=0.0)
-        M = ring_potential_matrix(r, r, sol.omega0.dr, sol.params,
+        M = ring_potential_matrix(r, r, sol.omega0.dr, sol.profile.s,
                                   n_angles=64)
         meas = RadialField(sol.omega0.nr, sol.omega0.rmax,
                            squeezed).annulus_measures()
@@ -507,12 +497,12 @@ class TestSolveLimiting:
         kin = float(np.sum(meas * squeezed * psi))
         jint = float(np.sum(meas * sol.profile.J(squeezed)))
         fake = LimitingSolution(
-            s=sol.s, p=sol.p, L=sol.L, kappa=sol.kappa,
+            profile=sol.profile, kappa=sol.kappa,
             omega0=RadialField(sol.omega0.nr, sol.omega0.rmax, squeezed),
             mu0=sol.mu0, E0=0.5 * kin - jint, kinetic=kin,
             j_integral=jint, support_radius=sol.support_radius,
             iterations=0, residuals={})
-        lam = squeeze ** (-2.0 * sol.s)
+        lam = squeeze ** (-2.0 * sol.profile.s)
         expect = (1.0 - lam) / (1.0 + lam)
         resid = virial_residual(fake)
         assert resid == pytest.approx(expect, rel=0.05)
@@ -520,9 +510,10 @@ class TestSolveLimiting:
 
     def test_report_keys(self, limiting_canonical):
         rep = limiting_canonical.report()
-        assert set(rep) == {"s", "p", "kappa", "mu0", "E0", "support_radius",
-                            "virial_residual", "multiplier_residual",
-                            "iterations", "converged", "warnings"}
+        assert set(rep) == {"s", "p", "L", "kappa", "mu0", "E0",
+                            "support_radius", "virial_residual",
+                            "multiplier_residual", "iterations", "converged",
+                            "warnings"}
         assert rep["warnings"] == []
 
     def test_builds_two_ring_matrices(self, monkeypatch):
@@ -532,9 +523,9 @@ class TestSolveLimiting:
         built = []
         ring = gsqg.limiting.ring_potential_matrix
 
-        def counting(r_targets, r_nodes, dr, params, n_angles=128):
+        def counting(r_targets, r_nodes, dr, s, n_angles=128):
             built.append((len(r_nodes), dr))
-            return ring(r_targets, r_nodes, dr, params, n_angles)
+            return ring(r_targets, r_nodes, dr, s, n_angles)
 
         monkeypatch.setattr(gsqg.limiting, "ring_potential_matrix", counting)
         _unit_ring_matrix.cache_clear()
@@ -629,8 +620,7 @@ class TestSpectralGap:
         st = to_state_2d(limiting_canonical, 48)
         stz = type(st)(field=st.field,
                        psi=np.zeros_like(st.psi),  # coefficient (psi-mu)+ = 0
-                       mu=1.0, E0=st.E0, s=st.s, p=st.p, L=st.L,
-                       kappa=st.kappa)
+                       mu=1.0, E0=st.E0, profile=st.profile, kappa=st.kappa)
         dense = spectral_gap_estimate(stz, method="dense")
         assert dense["gap"] == 1.0
 

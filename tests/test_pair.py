@@ -11,7 +11,7 @@ from gsqg.fields import (
     reflect_oddify,
     write_field,
 )
-from gsqg.kernels import potential_free_grid
+from gsqg.kernels import potential_free_grid, riesz_constant
 from gsqg.limiting import _RESIDUAL_FLOOR, radial_to_field, solve_limiting
 from gsqg.pair import (
     ConstraintActiveError,
@@ -31,6 +31,7 @@ from gsqg.pair import (
     weak_form_battery,
     weak_form_residual,
 )
+from gsqg.profiles import PowerProfile
 
 from conftest import EPS_SET, REGIME_L
 
@@ -42,7 +43,7 @@ def _weak_form_full_plane(sol, battery):
     pb = sol.problem
     w_tr = reflect_oddify(sol.omega)
     g = w_tr.grid
-    psi = potential_free_grid(w_tr, pb.params)
+    psi = potential_free_grid(w_tr, pb.profile.s)
     v1 = np.zeros_like(psi)
     v2 = np.zeros_like(psi)
     v1[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2 * g.h2)
@@ -63,7 +64,7 @@ def _weak_form_full_plane(sol, battery):
 
 class TestProblemGeometry:
     def test_speed_and_ball(self):
-        pb = PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.1)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5), kappa=1.0, W=1.0, eps=0.1)
         assert pb.speed == pytest.approx(0.1 ** 2, rel=1e-13)
         d0 = pb.constants.d0
         assert pb.ball_center == (pytest.approx(10 * d0), 0.0)
@@ -73,15 +74,15 @@ class TestProblemGeometry:
         # the leading translation balance 2(1-s) c_s kappa^2 / (2 d)^(3-2s)
         # = W eps^(3-2s) kappa picks out exactly d = d0 after rescaling
         for s, kappa, W in ((0.5, 1.0, 1.0), (0.7, 2.0, 0.3)):
-            pb = PairProblem(s=s, p=min(1.2, 0.8 / (1 - s) + 0.1), kappa=kappa,
-                             W=W, eps=0.05)
+            prof = PowerProfile(p=min(1.2, 0.8 / (1 - s) + 0.1), s=s)
+            pb = PairProblem(prof, kappa=kappa, W=W, eps=0.05)
             c = pb.constants
             d_tilde = 0.5 * (2 * (1 - s) * c.c_s * kappa / pb.speed) ** (
                 1.0 / (3 - 2 * s))
             assert pb.eps * d_tilde == pytest.approx(c.d0, rel=1e-12)
 
     def test_window_snapped_and_inside_halfplane(self):
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 96, support_estimate=0.12)
         assert g.x1min >= 0.0
         k = g.x1min / g.h1
@@ -89,7 +90,7 @@ class TestProblemGeometry:
 
     def test_window_needs_cells_inside_its_margins(self):
         # 4 margin cells on each side: n = 8 leaves none inside
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         with pytest.raises(ParameterError):
             pair_grid(pb, 8, support_estimate=0.12)
         assert pair_grid(pb, 9, support_estimate=0.12).nx == 9
@@ -98,19 +99,19 @@ class TestProblemGeometry:
 
 class TestEnergy:
     def test_zero_field(self):
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 32, support_estimate=0.12)
         assert energy_E_eps(Field2D(g, np.zeros((g.ny, g.nx))), pb) == 0.0
 
     def test_compositional_identity(self):
         rng = np.random.default_rng(0)
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 24, support_estimate=0.12)
         vals = rng.random((g.ny, g.nx))
         f = Field2D(g, vals, nonneg=True)
         from gsqg.kernels import potential_halfplane_grid
         from gsqg.fields import impulse
-        psi = potential_halfplane_grid(f, pb.params)
+        psi = potential_halfplane_grid(f, pb.profile.s)
         expect = 0.5 * float(np.sum(vals * psi)) * g.cell_area \
             - pb.speed * impulse(f) \
             - float(np.sum(pb.profile.J(vals))) * g.cell_area
@@ -124,12 +125,13 @@ class TestLocationSides:
         from gsqg.pair import _location_sides
 
         rng = np.random.default_rng(4)
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 16, support_estimate=0.12)
         f = Field2D(g, rng.random((g.ny, g.nx)), nonneg=True)
         X1, X2 = g.centers()
         x1, x2, w = X1.ravel(), X2.ravel(), f.values.ravel()
-        c_s, s, a = pb.params.c_s, pb.s, g.cell_area
+        s, a = pb.profile.s, g.cell_area
+        c_s = riesz_constant(s)
         double_sum = sum(
             np.sum(w[k] * (x1[k] + x1) * w
                    * ((x1[k] + x1) ** 2 + (x2[k] - x2) ** 2) ** (s - 2.0))
@@ -202,7 +204,7 @@ class TestSolvePair:
         # uniqueness is probed empirically: a very different start (uniform
         # density over the constraint disk) converges to the same state up
         # to an x2 translate
-        pb = PairProblem(s=0.5, p=1.5, eps=0.2, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.2)
         sol_a = solve_pair(pb, n=96, limiting=limiting_regime, tol=1e-6,
                            max_iter=2000)
         grid = sol_a.omega.grid
@@ -218,7 +220,7 @@ class TestSolvePair:
     def test_stops_at_the_floor_and_ulp_stable(self, limiting_regime):
         # a converging solve stops at its first residual <= 1e-12, and a
         # 1-ulp change of the start moves d_eps by at most 1e-9 relative
-        pb = PairProblem(s=0.5, p=1.5, eps=0.2, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.2)
         sol = solve_pair(pb, n=96, limiting=limiting_regime)
         assert sol.stop == "floor"
         assert sol.ascent_residual <= _RESIDUAL_FLOOR
@@ -238,14 +240,14 @@ class TestSolvePair:
         # symmetrized, eps 0.08 at n=192 stops at the floor; a map that
         # symmetrized only on a schedule stopped there on a plateau (2.7e-7)
         lim = solve_limiting(0.5, 1.5, kappa=1.0, L=REGIME_L, nr=256)
-        pb = PairProblem(s=0.5, p=1.5, eps=0.08, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.08)
         sol = solve_pair(pb, lim, n=192)
         assert sol.stop == "floor"
         assert sol.ascent_residual <= _RESIDUAL_FLOOR
 
     def test_constraint_active_diagnosed_at_canonical_parameters(
             self, limiting_canonical):
-        pb = PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.1)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5), kappa=1.0, W=1.0, eps=0.1)
         with pytest.raises(ConstraintActiveError) as exc:
             solve_pair(pb, n=96, limiting=limiting_canonical, tol=1e-5,
                        max_iter=1200)
@@ -277,14 +279,14 @@ class TestSolvePair:
         from gsqg.kernels import direct_sum
 
         rng = np.random.default_rng(6)
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 16, support_estimate=0.12)
         vals = rng.random((g.ny, g.nx)) * ball_mask(g, pb)
         f = Field2D(g, vals / (np.sum(vals) * g.cell_area), nonneg=True)
         X1, X2 = g.centers()
         tg = np.column_stack([X1.ravel(), X2.ravel()])
-        direct = (direct_sum(f, tg, pb.params)
-                  - direct_sum(f, tg, pb.params, halfplane=True))
+        direct = (direct_sum(f, tg, pb.profile.s)
+                  - direct_sum(f, tg, pb.profile.s, halfplane=True))
         np.testing.assert_allclose(rebuild_solution(pb, f).psi_image,
                                    direct.reshape(g.ny, g.nx), rtol=1e-10)
 
@@ -294,15 +296,15 @@ class TestSolvePair:
         from gsqg.kernels import _spectra, potential_halfplane_grid
 
         rng = np.random.default_rng(7)
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 16, support_estimate=0.12)
         vals = rng.random((g.ny, g.nx)) * ball_mask(g, pb)
         f = Field2D(g, vals / (np.sum(vals) * g.cell_area), nonneg=True)
         _spectra.cache_clear()
         sol = rebuild_solution(pb, f)
         assert _spectra.cache_info().currsize == 1
-        np.testing.assert_array_equal(sol.psi_halfplane,
-                                      potential_halfplane_grid(f, pb.params))
+        np.testing.assert_array_equal(
+            sol.psi_halfplane, potential_halfplane_grid(f, pb.profile.s))
         np.testing.assert_array_equal(sol.psi_image,
                                       sol.psi_free - sol.psi_halfplane)
 
@@ -331,7 +333,8 @@ class TestAsymptotics:
         # three eps spanning a factor 4; the rescaled support geometry and
         # the support radius itself stay uniform
         sol05 = solve_pair(
-            PairProblem(s=0.5, p=1.5, kappa=1.0, W=1.0, eps=0.05, L=REGIME_L),
+            PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), kappa=1.0,
+                        W=1.0, eps=0.05),
             n=192, limiting=limiting_regime, tol=1e-6, max_iter=3000)
         sols = [pair_regime[0.2], pair_regime[0.1], sol05]
         rep = desingularization_check(sols)
@@ -355,11 +358,11 @@ class TestPotentialDecayShape:
         sol = pair_regime[0.1]
         pb = sol.problem
         r_exp = 1.2  # any r < 1/s makes the far exponent negative
-        expo = 2 * pb.s - 2.0 / r_exp
+        expo = 2 * pb.profile.s - 2.0 / r_exp
         x1s = np.concatenate([np.linspace(0.02, 0.3, 8),
                               np.linspace(0.5, 12.0, 14)])
         targets = np.column_stack([x1s, np.full_like(x1s, 0.05)])
-        psi = direct_sum(sol.omega, targets, pb.params, halfplane=True)
+        psi = direct_sum(sol.omega, targets, pb.profile.s, halfplane=True)
         shape = np.minimum(x1s, x1s ** expo)
         ratio = np.abs(psi) / shape
         c_fit = ratio[::2].max()
@@ -417,7 +420,7 @@ class TestRearrangementAscent:
     def test_bathtub_single_step_placement(self):
         # reference = indicator of k cells: one step puts the k values on
         # the k cells with the largest transported stream function
-        pb = PairProblem(s=0.5, p=1.5, eps=0.1, L=REGIME_L)
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
         g = pair_grid(pb, 16, support_estimate=0.12)
         rng = np.random.default_rng(1)
         vals = np.zeros(g.ny * g.nx)
@@ -425,7 +428,7 @@ class TestRearrangementAscent:
         ref = Field2D(g, vals.reshape(g.ny, g.nx), nonneg=True)
         zeta, info = maximize_over_rearrangement_class(ref, pb, max_iter=1)
         from gsqg.kernels import potential_halfplane_grid
-        psi = potential_halfplane_grid(ref, pb.params) \
+        psi = potential_halfplane_grid(ref, pb.profile.s) \
             - pb.speed * g.x1_centers()[None, :]
         order = np.argsort(-psi.ravel(), kind="stable")
         expect = np.zeros(g.ny * g.nx)

@@ -95,13 +95,14 @@ class TestStructConstants:
         B = (2 - s) / (s - 1) - num / (2 * (s - 1) * den)
         C = -num / (2 * den)
         assert (A, B, C) == (Fraction(3), Fraction(0), Fraction(-3, 2))
-        c = compute_struct_constants(0.5, 1.5)
+        c = compute_struct_constants(PowerProfile(p=1.5, s=0.5))
         assert c.A_gamma == pytest.approx(3.0, abs=1e-13)
         assert c.B_gamma == pytest.approx(0.0, abs=1e-13)
         assert c.C_gamma == pytest.approx(-1.5, abs=1e-13)
 
     def test_d0_reference_value(self):
-        c = compute_struct_constants(0.5, 1.5, kappa=1.0, W=1.0)
+        c = compute_struct_constants(PowerProfile(p=1.5, s=0.5), kappa=1.0,
+                                     W=1.0)
         assert c.d0 == pytest.approx(math.sqrt(1.0 / (8.0 * math.pi)),
                                      rel=1e-13)
         assert c.d0 == pytest.approx(0.199471, rel=1e-5)
@@ -109,14 +110,14 @@ class TestStructConstants:
     def test_degenerate_combination_rejected(self):
         # 2 - s - gamma = 0 at s = 1/2 iff gamma = 3/2 iff p = 2
         with pytest.raises(DegenerateConstantError):
-            compute_struct_constants(0.5, 2.0)
+            compute_struct_constants(PowerProfile(p=2.0, s=0.5))
 
     def test_d0_is_energy_minimizer(self):
         # d0 minimizes h(t) = c_s kappa / (2^(3-2s) t^(2-2s)) + W t
         for (s, kappa, W) in ((0.5, 1.0, 1.0), (0.7, 2.0, 0.5),
                               (0.35, 0.7, 2.0)):
-            c = compute_struct_constants(s, min(1.2, 0.9 / (1 - s)), kappa=kappa,
-                                         W=W)
+            prof = PowerProfile(p=min(1.2, 0.9 / (1 - s)), s=s)
+            c = compute_struct_constants(prof, kappa=kappa, W=W)
 
             def h(t):
                 return c.c_s * kappa / (2 ** (3 - 2 * s) * t ** (2 - 2 * s)) \
@@ -127,4 +128,4 @@ class TestStructConstants:
 
     def test_positive_parameters_required(self):
         with pytest.raises(ParameterError):
-            compute_struct_constants(0.5, 1.5, kappa=-1.0)
+            compute_struct_constants(PowerProfile(p=1.5, s=0.5), kappa=-1.0)
