@@ -8,6 +8,7 @@ failure.  Every run directory receives a manifest listing the files written.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -55,16 +56,15 @@ _FLAG_OPTS = {
     "allow_active": {"action": "store_const", "const": 1},
     "perturb": {"action": "append",
                 "help": "kind[:amplitude[:seed]]; repeatable"},
-    "seed": {"type": int, "help": "(default 0)"},
-    "threads": {"type": int, "help": "FFT and BLAS threads (default 1)"},
+    "seed": {"help": "(default 0)"},
+    "threads": {"help": "FFT and BLAS threads (default 1)"},
 }
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _build_parser():
@@ -77,13 +77,27 @@ def _build_parser():
         p.add_argument("--config", help="flat key=value config file")
         for k in _COMMAND_KEYS[command]:
             p.add_argument("--" + k.replace("_", "-"), dest=k,
-                           **_FLAG_OPTS.get(k, {"type": _CONFIG_KEYS[k]}))
+                           **_FLAG_OPTS.get(k, {}))
     return ap
 
 
 def _read_json(*path):
     with open(os.path.join(*path)) as fh:
         return json.load(fh)
+
+
+def _convert(key, text):
+    """A key's value from flag or config-file text alike; ValueError naming
+    the key unless a float is finite and an int (count, seed, switch) >= 0."""
+    try:
+        value = _CONFIG_KEYS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key}={value} is not a finite number")
+    if isinstance(value, int) and value < 0:
+        raise ValueError(f"{key}={value} must be >= 0")
+    return value
 
 
 def _load_config(path):
@@ -98,7 +112,7 @@ def _load_config(path):
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-            cfg[key] = _CONFIG_KEYS[key](val)
+            cfg[key] = _convert(key, val)
     return cfg
 
 
@@ -110,26 +124,24 @@ def _merge(args):
     if args.config:
         cfg.update((k, v) for k, v in _load_config(args.config).items()
                    if k in keys)
-    cfg.update((k, getattr(args, k)) for k in keys
-               if getattr(args, k) is not None)
+    for k in keys:
+        v = getattr(args, k)
+        if v is not None:  # --perturb's list and --allow-active's 1 stay
+            cfg[k] = _convert(k, v) if isinstance(v, str) else v
     return cfg
-
-
-def _eps_list(cfg):
-    raw = cfg.get("eps", "0.2,0.1,0.05")
-    return [float(t) for t in raw.split(",") if t.strip()]
 
 
 class RunDir:
     """Output directory with a manifest written atomically at the end.
 
-    The manifest holds only deterministic content.  The wall time of each
-    command run into the directory goes to timings.json, which the manifest
-    lists.  With extend, a manifest already in the directory is kept: its
-    files, stages and config values (the earlier command's win) stay, and
-    this run adds its own; timings.json keeps the
-    earlier commands' times the same way.  The solve commands start afresh;
-    the commands that read a run extend it.
+    The directory appears at the first write, so a command that fails
+    before any output leaves none.  The manifest holds only deterministic
+    content.  The wall time of each command run into the directory goes to
+    timings.json, which the manifest lists.  With extend, a manifest
+    already in the directory is kept: its files, stages and config values
+    (the earlier command's win) stay, and this run adds its own;
+    timings.json keeps the earlier commands' times the same way.  The solve
+    commands start afresh; the commands that read a run extend it.
     """
 
     def __init__(self, path, config, command, extend=False):
@@ -148,37 +160,38 @@ class RunDir:
             if os.path.exists(os.path.join(path, "timings.json")):
                 self.wall_time_s = _read_json(path,
                                               "timings.json")["wall_time_s"]
-        os.makedirs(path, exist_ok=True)
 
-    def _write_atomic(self, name, text):
-        """Write text to name through a temporary file and an atomic rename."""
-        full = os.path.join(self.path, name)
-        with open(full + ".tmp", "w") as fh:
-            fh.write(text)
-        os.replace(full + ".tmp", full)
+    def _file(self, name):
+        """The path of name, creating the directory on the first write."""
+        os.makedirs(self.path, exist_ok=True)
+        return os.path.join(self.path, name)
 
     def write_json(self, name, obj):
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def write_text(self, name, text):
-        self._write_atomic(name, text)
+        """Write text to name through a temporary file and an atomic rename."""
+        full = self._file(name)
+        with open(full + ".tmp", "w") as fh:
+            fh.write(text)
+        os.replace(full + ".tmp", full)
         self.files.append(name)
 
-    def add_file(self, name):
+    def write_field(self, name, field):
+        from .fields import write_field
+        write_field(field, self._file(name))
         self.files.append(name)
 
     def finish(self):
         from . import __version__
         self.wall_time_s[self.command] = time.perf_counter() - self.t0
         self.write_json("timings.json", {"wall_time_s": self.wall_time_s})
-        manifest = {
+        self.write_json("manifest.json", {
             "config": {k: self.config[k] for k in sorted(self.config)},
             "version": __version__,
             "stages": self.stages,
             "files": sorted(set(self.files)),
-        }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        self._write_atomic("manifest.json", text)
+        })
 
 
 def _require(cfg, keys):
@@ -201,9 +214,7 @@ def _solve_limiting(cfg):
 
 
 def cmd_solve_limiting(cfg):
-    from .limiting import check_profile
     _require(cfg, ["s", "p", "kappa", "out"])
-    check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
     run = RunDir(cfg["out"], cfg, "solve-limiting")
     sol = _solve_limiting(cfg)
     run.write_json("limiting.json", sol.report())
@@ -217,16 +228,18 @@ def cmd_solve_limiting(cfg):
 
 
 def cmd_solve_pair(cfg):
-    from .fields import write_field
-    from .limiting import check_profile
     from .pair import (ConstraintActiveError, PairProblem,
                        check_window_cells, solve_pair)
+    from .profiles import PowerProfile
     _require(cfg, ["s", "p", "kappa", "W", "out"])
-    # every argument is checked before the limiting stage runs, so a bad
-    # one leaves no partial run directory
-    profile = check_profile(cfg["s"], cfg["p"], cfg["kappa"], cfg.get("L"))
-    problems = [PairProblem(profile, kappa=cfg["kappa"], W=cfg["W"], eps=eps)
-                for eps in _eps_list(cfg)]
+    # the pair arguments are checked before the limiting stage writes, so
+    # a bad one costs no solve and leaves no partial run directory
+    profile = PowerProfile(p=cfg["p"], s=cfg["s"], L=cfg.get("L"))
+    raw = cfg.get("eps", "0.2,0.1,0.05")
+    problems = [PairProblem(profile, kappa=cfg["kappa"], W=cfg["W"],
+                            eps=float(t)) for t in raw.split(",") if t.strip()]
+    if not problems:
+        raise ValueError(f"eps={raw!r} gives no value")
     check_window_cells(cfg.get("n", 192))
     run = RunDir(cfg["out"], cfg, "solve-pair")
     lim = _solve_limiting(cfg)
@@ -234,23 +247,19 @@ def cmd_solve_pair(cfg):
     run.stages["limiting"] = "limiting.json"
     status = EXIT_OK
     for problem in problems:
-        eps = problem.eps
-        tag = ("%g" % eps).replace(".", "p")
+        tag = ("%g" % problem.eps).replace(".", "p")
         try:
             sol = solve_pair(
                 problem, lim, n=cfg.get("n", 192), tol=cfg.get("tol", 1e-6),
                 max_iter=cfg.get("max_iter", 2000),
                 allow_active=bool(cfg.get("allow_active", 0)))
         except ConstraintActiveError as exc:
-            sys.stderr.write(f"eps={eps}: {exc}\n")
-            if exc.solution is not None:
-                run.write_json(f"pair_eps{tag}.json", exc.solution.report())
+            sys.stderr.write(f"eps={problem.eps}: {exc}\n")
+            run.write_json(f"pair_eps{tag}.json", exc.solution.report())
             status = EXIT_NOCONV
             continue
         run.write_json(f"pair_eps{tag}.json", sol.report())
-        name = f"omega_eps{tag}.field"
-        write_field(sol.omega, os.path.join(run.path, name))
-        run.add_file(name)
+        run.write_field(f"omega_eps{tag}.field", sol.omega)
         run.stages[f"pair_eps{tag}"] = f"pair_eps{tag}.json"
     run.finish()
     return status
@@ -268,7 +277,7 @@ def _load_pair_runs(run_dir):
     canonical L."""
     from .fields import read_field
     from .pair import PairProblem
-    from .profiles import PowerProfile
+    from .profiles import PowerProfile, check_positive
     manifest = _read_json(run_dir, "manifest.json")
     out = []
     for name in manifest["files"]:
@@ -286,6 +295,7 @@ def _load_pair_runs(run_dir):
             problem = PairProblem(
                 PowerProfile(p=rep["p"], s=rep["s"], L=rep["L"]),
                 kappa=rep["kappa"], W=rep["W"], eps=rep["eps"])
+            check_positive("support_radius", rep["support_radius"])
             field = read_field(os.path.join(run_dir, field_name))
             field.nonneg = True
             out.append((problem, field, rep))
@@ -301,11 +311,14 @@ _TOLERANCES = {"fixed_point": 1e-6, "location": 0.05, "multiplier": 0.05,
 
 def cmd_verify(cfg):
     from .pair import rebuild_solution
+    from .profiles import check_positive
     _require(cfg, ["run"])
     run_dir = cfg["run"]
+    tols = {k: cfg.get("tol_" + k, v) for k, v in _TOLERANCES.items()}
+    for k, v in tols.items():
+        check_positive("tol_" + k, v)
     pairs = _load_pair_runs(run_dir)
     lim_rep = _read_json(run_dir, "limiting.json")
-    tols = {k: cfg.get("tol_" + k, v) for k, v in _TOLERANCES.items()}
     run = RunDir(cfg.get("out", run_dir), cfg, "verify", extend=True)
     table = []
     worst_fail = None
@@ -351,17 +364,17 @@ def cmd_verify(cfg):
 def _parse_perturb(specs, seed):
     """(kind, amplitude, seed) of each kind[:amplitude[:seed]] spec."""
     from .evolution import PERTURBATION_KINDS
-    out = []
-    if not specs:
-        specs = ["none"]
     if isinstance(specs, str):
         specs = [t for t in specs.split(";") if t]
-    for k, spec in enumerate(specs):
+    out = []
+    for k, spec in enumerate(specs or ["none"]):
         kind, *rest = spec.split(":")
-        if kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind {kind!r} in {spec!r}")
         amp = float(rest[0]) if rest else 0.0
         sd = int(rest[1]) if len(rest) > 1 else seed + k
+        if kind not in PERTURBATION_KINDS or not math.isfinite(amp) or sd < 0:
+            raise ValueError(f"perturbation {spec!r} needs a kind of "
+                             f"{PERTURBATION_KINDS}, a finite amplitude and "
+                             "a seed >= 0")
         out.append((kind, amp, sd))
     return out
 
@@ -369,7 +382,6 @@ def _parse_perturb(specs, seed):
 def cmd_evolve(cfg):
     from .evolution import (TRAJECTORY_COLUMNS, EvolutionConfig, evolve,
                             stability_experiment)
-    from .fields import write_field
     _require(cfg, ["run"])
     problem, field, rep = _load_pair_runs(cfg["run"])[0]
     T = cfg.get("T", 2.0 * rep["support_radius"] / problem.speed)
@@ -387,9 +399,7 @@ def cmd_evolve(cfg):
             lines.append(",".join("%.17g" % v for v in row.values()))
         run.write_text("trajectory.csv", "\n".join(lines) + "\n")
         for step, snap in trajectory.snapshots.items():
-            name = f"snapshot_{step:06d}.field"
-            write_field(snap, os.path.join(run.path, name))
-            run.add_file(name)
+            run.write_field(f"snapshot_{step:06d}.field", snap)
         summary = {
             "eps": problem.eps,
             "T": T, "dt": trajectory.dt_used, "steps": trajectory.steps,
@@ -423,13 +433,12 @@ def cmd_evolve(cfg):
 
 
 def cmd_rearrange(cfg):
-    from .pair import check_shift_cells, rearrangement_shift_experiment
+    from .pair import rearrangement_shift_experiment
     _require(cfg, ["run"])
-    cells = cfg.get("shift_cells", 5)
-    check_shift_cells(cells)
     problem, field, _ = _load_pair_runs(cfg["run"])[0]
     run = RunDir(cfg.get("out", cfg["run"]), cfg, "rearrange", extend=True)
-    result = rearrangement_shift_experiment(field, problem, cells=cells)
+    result = rearrangement_shift_experiment(
+        field, problem, cells=cfg.get("shift_cells", 5))
     result.pop("energy_trace")
     result["eps"] = problem.eps
     run.write_json("rearrange.json", result)
@@ -474,10 +483,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
+        threads = cfg.get("threads", 1)
+        if threads < 1:
+            raise ValueError(f"threads={threads} must be >= 1")
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    threads = int(cfg.get("threads", 1))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(threads))
     import scipy.fft  # after the variables above, which numpy reads once

@@ -50,7 +50,6 @@ class RegimeError(GsqgError, ValueError):
 class FieldFormatError(GsqgError, ValueError):
     """Malformed field file."""
 
-    def __init__(self, message, line=None, token=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.token = token

@@ -32,6 +32,7 @@ from .fields import (
     orbital_distance,
 )
 from .kernels import potential_halfplane_grid, velocity_pair_grid
+from .profiles import check_positive
 
 _RECENTER_CELLS = 10  # center drift, in cells, that shifts the window
 _MAX_DT_HALVINGS = 3  # CFL halvings allowed before evolve gives up
@@ -52,8 +53,7 @@ class EvolutionConfig:
     snapshot_every: int = 0   # snapshot every N steps; 0 for none
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ParameterError("horizon T must be positive")
+        check_positive("horizon T", self.T)
         if self.dt is not None and (self.dt <= 0 or self.T < self.dt):
             raise ParameterError("need 0 < dt <= T")
         if not 0 < self.cfl <= _CFL_MAX:
@@ -305,8 +305,6 @@ def evolve(xi0: Field2D, s: float, config: EvolutionConfig,
     accumulated x2 drift."""
     if np.any(xi0.values < 0):
         raise DomainError("evolution expects a nonnegative half-plane scalar")
-    if xi0.grid.x1min < -1e-12 * xi0.grid.h1:
-        raise DomainError("evolution grid must sit in {x1 >= 0}")
     field = xi0.copy()
     ref = (reference if reference is not None else xi0).copy()
     rep = TrajectoryReport()

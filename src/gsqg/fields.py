@@ -93,10 +93,6 @@ class Field2D:
     def copy(self):
         return Field2D(self.grid, self.values.copy(), self.nonneg)
 
-    @classmethod
-    def zeros(cls, grid, nonneg=False):
-        return cls(grid, np.zeros((grid.ny, grid.nx)), nonneg)
-
 
 def annulus_areas(nr, dr):
     """Areas pi ((k+1)^2 - k^2) dr^2 of the annuli k dr < r < (k+1) dr,
@@ -396,15 +392,14 @@ def read_field(path) -> Field2D:
         raise FieldFormatError("empty field file", line=1)
     head = lines[0].split()
     if len(head) != 2 or head[0] != "gsqg-field":
-        raise FieldFormatError(f"bad header {lines[0]!r}", line=1, token=lines[0])
+        raise FieldFormatError(f"bad header {lines[0]!r}", line=1)
     if head[1] != "1":
-        raise FieldFormatError(f"unsupported version {head[1]!r}", line=1,
-                               token=head[1])
+        raise FieldFormatError(f"unsupported version {head[1]!r}", line=1)
     if len(lines) < 2:
         raise FieldFormatError("missing grid line", line=2)
     toks = lines[1].split()
     if len(toks) != 6:
-        raise FieldFormatError("grid line needs 6 tokens", line=2, token=lines[1])
+        raise FieldFormatError("grid line needs 6 tokens", line=2)
     try:
         nx, ny = int(toks[0]), int(toks[1])
         ext = [float(t) for t in toks[2:]]

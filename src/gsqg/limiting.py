@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import Field2D, Grid2D, RadialField, annulus_areas
 from .kernels import potential_free_grid, riesz_constant, singular_cell_weight
-from .profiles import PowerProfile, compute_struct_constants
+from .profiles import PowerProfile, check_positive, compute_struct_constants
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,6 @@ def energy_E0(field: Field2D, profile: PowerProfile, psi=None) -> float:
     kernel order and J of the profile; psi is the field's potential when
     the caller already has it."""
     vals = field.values
-    if np.any(vals < 0):
-        raise DomainError("E0 is defined for nonnegative fields")
     if psi is None:
         psi = potential_free_grid(field, profile.s)
     a = field.grid.cell_area
@@ -394,16 +392,11 @@ def _initial_patch(profile, kappa):
     return best[1], a * best[1], best[0]
 
 
-def check_profile(s, p, kappa, L=None):
-    """The power-law profile of a limiting solve; ParameterError unless s,
-    p, kappa and L are in range and p < 1/(1-s)."""
-    profile = PowerProfile(p=p, s=s, L=L)
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    if not profile.hypotheses_ok:
-        raise ParameterError(
-            f"profile p={p} violates p < 1/(1-s) = {1.0 / (1.0 - s):.6g}")
-    return profile
+def check_controls(tol, max_iter):
+    """ParameterError unless 0 < tol < 1 and max_iter >= 1."""
+    if not (0 < tol < 1 and max_iter >= 1):
+        raise ParameterError(f"need 0 < tol < 1 and max_iter >= 1, got "
+                             f"tol={tol}, max_iter={max_iter}")
 
 
 def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
@@ -413,7 +406,12 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     Returns a LimitingSolution whose Euler-Lagrange residual
     ||w - f((G w - mu)_+)||_1 / kappa is below tol.
     """
-    profile = check_profile(s, p, kappa, L)
+    profile = PowerProfile(p=p, s=s, L=L)
+    check_positive("kappa", kappa)
+    if nr < 4 or n_angles < 1:  # the fallback patch r < r[nr // 4]
+        raise ParameterError(f"need nr >= 4 and n_angles >= 1, got nr={nr}, "
+                             f"n_angles={n_angles}")
+    check_controls(tol, max_iter)
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")

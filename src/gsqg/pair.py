@@ -41,12 +41,13 @@ from .kernels import (
 )
 from .limiting import (
     LimitingSolution,
+    check_controls,
     constrained_ascent,
     radial_to_field,
     solve_multiplier,
     stop_floor,
 )
-from .profiles import PowerProfile, compute_struct_constants
+from .profiles import PowerProfile, check_positive, compute_struct_constants
 
 
 class ConstraintActiveError(GsqgError, RuntimeError):
@@ -54,7 +55,7 @@ class ConstraintActiveError(GsqgError, RuntimeError):
 
     Carries the diagnosed solution in .solution for honest reporting."""
 
-    def __init__(self, message, solution=None):
+    def __init__(self, message, solution):
         super().__init__(message)
         self.solution = solution
 
@@ -70,8 +71,8 @@ class PairProblem:
     eps: float = 0.1
 
     def __post_init__(self):
-        if self.eps <= 0 or self.W <= 0 or self.kappa <= 0:
-            raise ParameterError("eps, W, kappa must be positive")
+        for name in ("kappa", "W", "eps"):
+            check_positive(name, getattr(self, name))
 
     @functools.cached_property
     def constants(self):
@@ -170,10 +171,8 @@ def pair_grid(problem: PairProblem, n, support_estimate) -> Grid2D:
     x1min = max(cx - w, 0.0)
     h = (cx + w - x1min) / n
     x1min = math.floor(x1min / h) * h
-    nx = n
-    x1max = x1min + nx * h
     ny = n if n % 2 == 0 else n + 1
-    return Grid2D(nx, ny, x1min, x1max, -0.5 * ny * h, 0.5 * ny * h)
+    return Grid2D(n, ny, x1min, x1min + n * h, -0.5 * ny * h, 0.5 * ny * h)
 
 
 def ball_mask(grid: Grid2D, problem: PairProblem):
@@ -223,6 +222,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
     Raises ConstraintActiveError when the converged support touches the
     constraint ball (the asymptotic regime's red flag) unless allow_active.
     """
+    check_controls(tol, max_iter)
     profile = problem.profile
     warnings = list(limiting.warnings)
     r_hat = limiting.support_radius
@@ -567,12 +567,6 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
                   "iterations": len(trace) - 1}
 
 
-def check_shift_cells(cells):
-    """ParameterError unless the shift is at least one cell."""
-    if cells < 1:
-        raise ParameterError(f"shift_cells={cells} must be at least 1")
-
-
 def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
                                    cells=5, max_iter=500):
     """Ascent started from an x2-shifted copy of a converged profile.
@@ -582,7 +576,8 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
     distance against the threshold of a two-cell misalignment."""
     from .fields import embed, shift_x2
 
-    check_shift_cells(cells)
+    if cells < 1:
+        raise ParameterError(f"shift_cells={cells} must be at least 1")
     g = field.grid
     pad = cells + 4
     ext = Grid2D(g.nx, g.ny + 2 * pad, g.x1min, g.x1max,

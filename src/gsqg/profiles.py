@@ -8,12 +8,32 @@ of f^{-1} gives the canonical coefficient L = p/(p+1), for which
 model every solver object carries; the mass kappa stays with the problem.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateConstantError, DomainError, ParameterError
 from .kernels import riesz_constant
+
+
+def check_positive(name, value, below=math.inf):
+    """ParameterError unless value is a real number in (0, below), which
+    leaves out nan and inf; a bool, None or a string is no number here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < below):
+        bound = "positive" if below == math.inf else f"in (0, {below:g})"
+        raise ParameterError(f"{name} must be {bound} and finite, "
+                             f"got {value!r}")
+
+
+def _halfline(t, name):
+    """t as a float array; DomainError unless it lies in [0, inf)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise DomainError(f"{name} is only defined on [0, inf)")
+    return t
 
 
 @dataclass(frozen=True)
@@ -26,14 +46,14 @@ class PowerProfile:
     L: float = None  # canonical p/(p+1) unless overridden
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ParameterError("profile exponent p must be positive")
-        if not 0 < self.s < 1:
-            raise ParameterError("order s must lie in (0, 1)")
+        check_positive("profile exponent p", self.p)
+        check_positive("order s", self.s, below=1.0)
         if self.L is None:
             object.__setattr__(self, "L", self.p / (self.p + 1.0))
-        if self.L <= 0:
-            raise ParameterError("J coefficient L must be positive")
+        check_positive("J coefficient L", self.L)
+        if not self.p < 1.0 / (1.0 - self.s):
+            raise ParameterError(f"profile p={self.p} violates p < 1/(1-s) "
+                                 f"= {1.0 / (1.0 - self.s):.6g}")
 
     @property
     def gamma(self):
@@ -44,33 +64,19 @@ class PowerProfile:
         """(1/(L*gamma))^(1/(gamma-1)); equals 1 for the canonical L."""
         return (1.0 / (self.L * self.gamma)) ** (1.0 / (self.gamma - 1.0))
 
-    @property
-    def hypotheses_ok(self):
-        """Exact sublinear-growth test p < 1/(1-s)."""
-        return self.p < 1.0 / (1.0 - self.s)
-
     # -- pointwise maps (all accept scalars or arrays) --
 
     def f(self, t):
         return np.clip(t, 0.0, None) ** self.p
 
     def f_inverse(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        if np.any(tau < 0):
-            raise DomainError("f^{-1} is only defined on [0, inf)")
-        return tau ** (1.0 / self.p)
+        return _halfline(tau, "f^{-1}") ** (1.0 / self.p)
 
     def J(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("J is only defined on [0, inf) for this profile")
-        return self.L * t ** self.gamma
+        return self.L * _halfline(t, "J") ** self.gamma
 
     def Jprime(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("J' is only defined on [0, inf)")
-        return self.L * self.gamma * t ** (self.gamma - 1.0)
+        return self.L * self.gamma * _halfline(t, "J'") ** (self.gamma - 1.0)
 
     def Jprime_inverse(self, tau):
         """(J')^{-1}(tau) = (tau / (L*gamma))_+^p = L_gamma * tau_+^p."""
@@ -106,8 +112,6 @@ def compute_struct_constants(profile: PowerProfile, kappa=1.0,
         raise DegenerateConstantError(
             f"2 - s - gamma vanishes at s={s}, p={profile.p}; identity "
             "constants blow up")
-    if kappa <= 0 or W <= 0:
-        raise ParameterError("kappa and W must be positive")
     num = 2.0 - gamma - s * gamma
     A = num / denom
     C = -num / (2.0 * denom)

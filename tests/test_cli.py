@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsqg.cli import main
+from gsqg.cli import _COMMAND_KEYS, _CONFIG_KEYS, _FLAG_OPTS, _PAIR_KEYS, main
 from gsqg.fields import read_field
 
 from conftest import REGIME_L
 
 FAST = ["--nr", "64", "--n-angles", "48", "--tol", "1e-5"]
+LIMITING = ["--s", 0.5, "--p", 1.5, "--kappa", 1]
+PAIR = LIMITING + ["--W", 1, "--L", REGIME_L, "--n", 32]
 
 
 def run(args):
@@ -158,16 +166,86 @@ class TestUsage:
         ["rearrange", "--shift-cells", -3],
         ["rearrange", "--shift-cells", 0],
         ["rearrange", "--shift-cells", -10],
+        ["solve-pair", *PAIR, "--kappa", "nan"],
+        ["solve-pair", *PAIR, "--L", "inf"],
+        ["solve-pair", *PAIR, "--W", "inf"],
+        ["solve-pair", *PAIR, "--eps", "inf"],
+        ["solve-pair", *PAIR, "--eps", ","],
+        ["evolve", "--T", "inf"],
+        ["solve-limiting", *LIMITING, "--nr", 1],
+        ["solve-limiting", *LIMITING, "--nr", 3],
+        ["solve-limiting", *LIMITING, "--n-angles", 0],
+        ["solve-limiting", *LIMITING, "--max-iter", 0],
+        ["solve-limiting", *LIMITING, "--tol", "inf"],
+        ["solve-limiting", *LIMITING, "--tol", -1],
+        ["solve-limiting", *LIMITING, "--tol", "nan"],
+        ["solve-limiting", *LIMITING, "--threads", -2],
+        ["verify", "--tol-location", "nan"],
+        ["verify", "--tol-weak-form", -1],
+        ["evolve", "--perturb", "bump:nan"],
+        ["evolve", "--perturb", "bump:inf"],
+        ["evolve", "--perturb", "bump:0.05:-3"],
+        ["evolve", "--seed", -1, "--perturb", "bump:0.05"],
     ], ids=["limiting-L", "limiting-kappa", "pair-L", "perturb-kind",
-            "perturb-amplitude", "shift-3", "shift0", "shift-10"])
+            "perturb-amplitude", "shift-3", "shift0", "shift-10",
+            "pair-kappa-nan", "pair-L-inf", "pair-W-inf", "pair-eps-inf",
+            "pair-eps-empty", "evolve-T-inf", "limiting-nr1",
+            "limiting-nr3", "limiting-n-angles0", "limiting-max-iter0",
+            "limiting-tol-inf", "limiting-tol-1", "limiting-tol-nan",
+            "limiting-threads-2", "verify-tol-nan", "verify-tol-1",
+            "perturb-amplitude-nan", "perturb-amplitude-inf",
+            "perturb-seed-3", "evolve-seed-1"])
     def test_bad_argument_leaves_no_run_directory(self, pair_run, tmp_path,
                                                   capsys, argv):
         out = tmp_path / "o"
         if not argv[0].startswith("solve"):
             argv = argv[:1] + ["--run", pair_run] + argv[1:]
         assert run(argv + ["--out", out]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
         assert not out.exists()
+
+    # a value just below each count key's bound; -1 for the others
+    _BELOW = {"n": 8, "nr": 3, "n_angles": 0, "max_iter": 0, "threads": 0,
+              "diag_every": 0, "shift_cells": 0}
+    # valid values of the keys a case does not test, small enough that a
+    # case the checks miss still ends soon
+    _BASE = {"s": 0.5, "p": 1.5, "kappa": 1, "W": 1, "L": REGIME_L,
+             "eps": 0.2, "n": 32, "nr": 64, "n_angles": 48, "tol": 1e-5,
+             "T": 0.01}
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in _COMMAND_KEYS.items()
+        for key in keys if _CONFIG_KEYS[key] in (float, int)])
+    def test_every_number_key_is_checked(self, pair_run, tmp_path, capsys,
+                                         command, key):
+        # nan and +-inf for each float key a command reads, a value below
+        # the bound for each int key; by flag where the flag takes a value,
+        # and by config file
+        if _CONFIG_KEYS[key] is float:
+            values = ["nan", "inf", "-inf"]
+        else:
+            values = [str(self._BELOW.get(key, -1))]
+        argv = [command]
+        for k in _COMMAND_KEYS[command]:
+            if k in self._BASE and k != key:
+                argv += ["--" + k.replace("_", "-"), self._BASE[k]]
+        if "run" in _COMMAND_KEYS[command]:
+            argv += ["--run", pair_run]
+        for i, value in enumerate(values):
+            routes = [["--config", tmp_path / f"c{i}.cfg"]]
+            (tmp_path / f"c{i}.cfg").write_text(f"{key} = {value}\n")
+            if "action" not in _FLAG_OPTS.get(key, {}):
+                # --k=v: argparse reads a bare "-inf" as an option
+                routes.append([f"--{key.replace('_', '-')}={value}"])
+            for route in routes:
+                out = tmp_path / "o"
+                assert run(argv + route + ["--out", out]) == 1, route
+                err = capsys.readouterr().err
+                assert re.search(rf"^error: .*\b{key}\b", err, re.M), err
+                assert "Traceback" not in err
+                assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--diag-every", 0], ["--cfl", 0],
                                        ["--snapshot-every", -1],
@@ -238,6 +316,8 @@ class TestUsage:
                     "--out", tmp_path / "o"])
         assert code == 2
         assert "bracket" in capsys.readouterr().err
+        # the run directory appears at the first write, and there is none
+        assert not (tmp_path / "o").exists()
 
 
 class TestSolveLimiting:
@@ -460,13 +540,16 @@ class TestVerify:
                     "--T", "0.01"]) == 0
         assert run(["rearrange", "--run", old, "--out", old / "r"]) == 0
 
-    @pytest.mark.parametrize("key,value", [("s", 1.2), ("p", 0)])
+    @pytest.mark.parametrize("key,value", [
+        ("s", 1.2), ("p", 0), ("p", None), ("p", "1.5"), ("p", True),
+        ("p", 3.0), ("kappa", math.nan), ("W", math.inf)])
     @pytest.mark.parametrize("command", [
         ["verify"], ["evolve", "--T", "0.01"], ["rearrange"]])
     def test_pair_file_out_of_range_exits_usage(
             self, pair_run_two_eps, tmp_path, capsys, command, key, value):
         # a damaged model fails when the pair file is loaded, before the
-        # command opens its run directory
+        # command writes: not a number, out of range, or (p 3 at s 0.5)
+        # past the growth bound p < 1/(1-s)
         bad = tmp_path / "bad"
         shutil.copytree(pair_run_two_eps, bad)
         rep = json.loads((bad / "pair_eps0p1.json").read_text())
@@ -477,8 +560,75 @@ class TestVerify:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert re.search(rf"\b{key}\b", err)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _run_quietly(args):
+    """Exit code and stderr of one command (capsys is per test, and a
+    hypothesis test runs many commands)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, err.getvalue()
+
+
+# one corruption of a value in a run file: no number, a non-finite one,
+# zero or a negative one
+_CORRUPT = [None, "abc", "1.5", True, math.nan, math.inf, -math.inf, 0, -1.0]
+
+
+class TestFileInputs:
+    """A pair file or config file with one corrupted value ends its
+    command with exit 0, 1, 2 or 3 and no traceback; exit 1 comes with an
+    error: line and leaves no run directory."""
+
+    @given(case=st.sampled_from(
+        [(k, v) for k in _PAIR_KEYS for v in _CORRUPT]
+        + [("p", 3.0), ("s", 0.2)]),  # past the growth bound p < 1/(1-s)
+        command=st.sampled_from([["verify"], ["evolve", "--T", "0.01"],
+                                 ["rearrange"]]))
+    @settings(max_examples=40, deadline=None)
+    def test_corrupt_pair_file(self, pair_run, tmp_path_factory, case,
+                               command):
+        key, value = case
+        work = tmp_path_factory.mktemp("pair_file")
+        shutil.copytree(pair_run, work / "run")
+        path = work / "run" / "pair_eps0p2.json"
+        rep = json.loads(path.read_text())
+        rep[key] = value
+        path.write_text(json.dumps(rep))
+        code, err = _run_quietly([command[0], "--run", work / "run",
+                                  "--out", work / "o"] + command[1:])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:")
+            assert not (work / "o").exists()
+
+    @given(case=st.sampled_from(
+        [(k, v) for k in ("s", "p", "kappa", "L", "nr", "n_angles", "tol",
+                          "max_iter", "threads")
+         for v in ("null", "abc", "true", "NaN", "Infinity", "-Infinity",
+                   "0", "-1")]
+        + [("p", "2.5"), ("s", "0.2")]))
+    @settings(max_examples=40, deadline=None)
+    def test_corrupt_config_line(self, tmp_path_factory, case):
+        key, value = case
+        lines = {"s": "0.5", "p": "1.5", "kappa": "1", "L": str(REGIME_L),
+                 "nr": "64", "n_angles": "48", "tol": "1e-5",
+                 "max_iter": "2000", "threads": "1", key: value}
+        work = tmp_path_factory.mktemp("config")
+        (work / "run.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        code, err = _run_quietly(["solve-limiting", "--config",
+                                  work / "run.cfg", "--out", work / "o"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:")
+            assert not (work / "o").exists()
 
 
 class TestEvolveCmd:

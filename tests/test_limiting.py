@@ -538,6 +538,24 @@ class TestSolveLimiting:
         with pytest.raises(ParameterError):
             solve_limiting(0.5, 2.5, nr=32)
 
+    @pytest.mark.parametrize("key,value", [
+        ("nr", 1), ("nr", 3), ("n_angles", 0), ("max_iter", 0),
+        ("tol", 0.0), ("tol", 1.0), ("tol", -1.0), ("tol", math.inf),
+        ("tol", math.nan), ("kappa", 0.0), ("kappa", math.nan),
+        ("kappa", math.inf)])
+    def test_controls_checked_before_any_solve(self, monkeypatch, key,
+                                               value):
+        # nr < 4 leaves the fallback patch r < r[nr // 4] empty, and a tol
+        # of inf would stop the solve after one iteration
+        import gsqg.limiting
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("solved with a bad control")
+
+        monkeypatch.setattr(gsqg.limiting, "_solve_sized", unreached)
+        with pytest.raises(ParameterError, match=rf"\b{key}\b"):
+            solve_limiting(0.5, 1.5, L=0.1, **{key: value})
+
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmallError):
             solve_limiting(0.5, 1.5, nr=48, rmax=2.0, n_angles=48)

@@ -95,6 +95,25 @@ class TestProblemGeometry:
             pair_grid(pb, 8, support_estimate=0.12)
         assert pair_grid(pb, 9, support_estimate=0.12).nx == 9
 
+    @pytest.mark.parametrize("key", ["kappa", "W", "eps"])
+    @pytest.mark.parametrize("value", [
+        -1.0, 0.0, np.nan, np.inf, None, "0.1", True])
+    def test_positive_parameters_required(self, key, value):
+        # the problem checks its own kappa, W and eps: finite numbers > 0
+        args = {"kappa": 1.0, "W": 1.0, "eps": 0.1, key: value}
+        with pytest.raises(ParameterError, match=rf"\b{key} must"):
+            PairProblem(PowerProfile(p=1.5, s=0.5), **args)
+
+
+
+class TestControls:
+    @pytest.mark.parametrize("tol,max_iter", [
+        (0.0, 100), (1.0, 100), (np.inf, 100), (np.nan, 100), (1e-6, 0)])
+    def test_checked_before_the_limiting_state_is_read(self, tol, max_iter):
+        # solve_pair shares solve_limiting's check of tol and max_iter
+        pb = PairProblem(PowerProfile(p=1.5, s=0.5, L=REGIME_L), eps=0.1)
+        with pytest.raises(ParameterError, match="tol"):
+            solve_pair(pb, None, n=32, tol=tol, max_iter=max_iter)
 
 
 class TestEnergy:

@@ -61,9 +61,22 @@ class TestPowerProfile:
         with pytest.raises(ParameterError):
             PowerProfile(p=1.5, s=0.5, L=-1.0)
 
+    @pytest.mark.parametrize("key,value", [
+        (k, v) for k in ("p", "s", "L")
+        for v in (None, "0.5", True, math.nan, math.inf, -math.inf)
+        if (k, v) != ("L", None)])  # an L of None is the canonical L
+    def test_model_values_are_finite_numbers(self, key, value):
+        # the values a pair file may carry: None, strings and bools are no
+        # numbers, and nan or inf is out of every range
+        model = {"p": 1.5, "s": 0.5, "L": 0.1, key: value}
+        with pytest.raises(ParameterError, match=rf"\b{key} must"):
+            PowerProfile(**model)
+
     def test_regime_flags(self):
-        assert PowerProfile(p=0.8, s=0.5).hypotheses_ok
-        assert not PowerProfile(p=2.5, s=0.5).hypotheses_ok
+        # p <= 1 is inside the setting (no uniqueness, but a profile)
+        assert PowerProfile(p=0.8, s=0.5).p == 0.8
+        with pytest.raises(ParameterError, match=r"p < 1/\(1-s\)"):
+            PowerProfile(p=2.5, s=0.5)
 
     @pytest.mark.parametrize("s,p,expect", [
         (0.5, 1.5, True),
@@ -72,14 +85,20 @@ class TestPowerProfile:
         (0.75, 4.1, False),
     ])
     def test_hypotheses_ok_is_the_exponent_test(self, s, p, expect):
-        # p < 1/(1-s): 2 at s = 0.5, 4 at s = 0.75
-        assert PowerProfile(p=p, s=s).hypotheses_ok is expect
+        # the hypotheses hold, and a profile is built, iff p < 1/(1-s):
+        # 2 at s = 0.5, 4 at s = 0.75
+        if expect:
+            assert PowerProfile(p=p, s=s).p == p
+        else:
+            with pytest.raises(ParameterError, match=r"p < 1/\(1-s\)"):
+                PowerProfile(p=p, s=s)
 
     @given(st.floats(min_value=0.05, max_value=5.0),
            st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=80, deadline=None)
     def test_jprime_inverse_inverts_jprime(self, p, t):
-        prof = PowerProfile(p=p, s=0.5, L=0.37)
+        # s = 0.85 admits every p below 1/(1-s) = 6.67
+        prof = PowerProfile(p=p, s=0.85, L=0.37)
         assert float(prof.Jprime_inverse(prof.Jprime(t))) == pytest.approx(
             t, rel=1e-9)
 
@@ -108,9 +127,12 @@ class TestStructConstants:
         assert c.d0 == pytest.approx(0.199471, rel=1e-5)
 
     def test_degenerate_combination_rejected(self):
-        # 2 - s - gamma = 0 at s = 1/2 iff gamma = 3/2 iff p = 2
+        # 2 - s - gamma = 0 at s = 1/2 iff gamma = 3/2 iff p = 2, the growth
+        # bound itself; one ulp below it the profile is admissible and the
+        # denominator is at roundoff
         with pytest.raises(DegenerateConstantError):
-            compute_struct_constants(PowerProfile(p=2.0, s=0.5))
+            compute_struct_constants(
+                PowerProfile(p=np.nextafter(2.0, 0.0), s=0.5))
 
     def test_d0_is_energy_minimizer(self):
         # d0 minimizes h(t) = c_s kappa / (2^(3-2s) t^(2-2s)) + W t
@@ -125,7 +147,3 @@ class TestStructConstants:
 
             assert h(c.d0) < h(c.d0 * 1.01)
             assert h(c.d0) < h(c.d0 * 0.99)
-
-    def test_positive_parameters_required(self):
-        with pytest.raises(ParameterError):
-            compute_struct_constants(PowerProfile(p=1.5, s=0.5), kappa=-1.0)
