@@ -319,6 +319,13 @@ def cmd_verify(cfg):
         check_positive("tol_" + k, v)
     pairs = _load_pair_runs(run_dir)
     lim_rep = _read_json(run_dir, "limiting.json")
+    where = os.path.join(run_dir, "limiting.json")
+    if "E0" not in lim_rep:
+        raise ValueError(f"{where} lacks key 'E0'")
+    E0 = lim_rep["E0"]
+    if (isinstance(E0, bool) or not isinstance(E0, (int, float))
+            or not math.isfinite(E0)):
+        raise ValueError(f"{where}: 'E0' must be a finite number, got {E0!r}")
     run = RunDir(cfg.get("out", run_dir), cfg, "verify", extend=True)
     table = []
     worst_fail = None
@@ -331,7 +338,7 @@ def cmd_verify(cfg):
             "multiplier": res["multiplier"],
             "weak_form": res["weak_form_max"],
             "steiner": res["steiner_asymmetry"],
-            "bracket": sol.E_eps - lim_rep["E0"],
+            "bracket": sol.E_eps - E0,
         }
         for key, val in rows.items():
             ok = val <= tols[key]

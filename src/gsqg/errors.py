@@ -39,10 +39,6 @@ class DomainTooSmallError(GsqgError, RuntimeError):
     """Computed support touches the domain boundary; enlarge the grid."""
 
 
-class ResourceLimitError(GsqgError, RuntimeError):
-    """Requested assembly exceeds the configured size cap."""
-
-
 class RegimeError(GsqgError, ValueError):
     """Operation only defined in the p > 1 regime."""
 

@@ -133,13 +133,6 @@ class RadialField:
         """Area of each annulus: annulus_areas(nr, dr)."""
         return annulus_areas(self.nr, self.dr)
 
-    def mass(self):
-        return float(np.sum(self.values * self.annulus_measures()))
-
-    def is_nonincreasing(self, slack=1e-10):
-        dv = np.diff(self.values)
-        return bool(np.all(dv <= slack * max(1.0, float(self.values.max(initial=0.0)))))
-
 
 # ---------------------------------------------------------------------------
 # integrals and norms
@@ -168,7 +161,7 @@ def impulse(f: Field2D) -> float:
 
 
 def lp_norm(f: Field2D, p) -> float:
-    if p == math.inf or p == "inf":
+    if p == math.inf:
         return float(np.max(np.abs(f.values), initial=0.0))
     p = float(p)
     if p < 1:
@@ -203,8 +196,8 @@ def steiner_symmetrize_x2(f: Field2D) -> Field2D:
     return Field2D(f.grid, out, nonneg=True)
 
 
-def rearrangement_equimeasurable(f1: Field2D, f2: Field2D, tol=0.0) -> bool:
-    """True iff the sorted cell-value sequences agree within tol (sup norm).
+def rearrangement_equimeasurable(f1: Field2D, f2: Field2D) -> bool:
+    """True iff the sorted cell-value sequences are equal.
 
     Grids may differ in extent but must share the cell area; the shorter
     value list is padded with zeros (the rest of the plane).
@@ -217,20 +210,25 @@ def rearrangement_equimeasurable(f1: Field2D, f2: Field2D, tol=0.0) -> bool:
     n = max(v1.size, v2.size)
     v1 = np.pad(v1, (0, n - v1.size))
     v2 = np.pad(v2, (0, n - v2.size))
-    return bool(np.max(np.abs(v1 - v2), initial=0.0) <= tol)
+    return bool(np.array_equal(v1, v2))
 
 
 def excess_mass(f: Field2D, alpha: float) -> float:
     return float(np.sum(np.clip(f.values - alpha, 0.0, None)) * f.grid.cell_area)
 
 
-def default_levels(reference: Field2D, n=32):
+_N_LEVELS = 32        # quantile levels of default_levels
+_CLOSURE_TOL = 1e-12  # slack of each excess-mass inequality, times the mass
+
+
+def default_levels(reference: Field2D):
     """Level sampling for weak-closure tests: quantiles of the positive part
     plus a level near zero and the maximum."""
     pos = reference.values[reference.values > 0]
     if pos.size == 0:
         return np.array([0.0])
-    qs = np.quantile(pos, np.linspace(0.0, 1.0, n, endpoint=False)[1:])
+    qs = np.quantile(pos, np.linspace(0.0, 1.0, _N_LEVELS,
+                                      endpoint=False)[1:])
     vmax = float(pos.max())
     levels = np.concatenate([[1e-12 * vmax], qs, [vmax]])
     return np.unique(levels)
@@ -244,20 +242,19 @@ class LevelReport:
     ok: bool
 
 
-def weak_closure_membership(candidate: Field2D, reference: Field2D,
-                            alphas=None, tol=1e-12):
+def weak_closure_membership(candidate: Field2D, reference: Field2D):
     """Check the excess-mass inequalities defining the weak closure of the
-    rearrangement class: int (zeta - a)_+ <= int (xi - a)_+ for all a > 0."""
+    rearrangement class, int (zeta - a)_+ <= int (xi - a)_+ for all a > 0,
+    at the levels of default_levels(reference)."""
     if np.any(candidate.values < 0) or np.any(reference.values < 0):
         raise DomainError("weak-closure test needs nonnegative fields")
-    if alphas is None:
-        alphas = default_levels(reference)
     scale = max(mass(reference), 1.0)
     reports = []
-    for a in np.atleast_1d(alphas):
+    for a in default_levels(reference):
         ec = excess_mass(candidate, float(a))
         er = excess_mass(reference, float(a))
-        reports.append(LevelReport(float(a), ec, er, ec <= er + tol * scale))
+        reports.append(LevelReport(float(a), ec, er,
+                                   ec <= er + _CLOSURE_TOL * scale))
     return reports
 
 
@@ -327,14 +324,13 @@ def union_grid(g1: Grid2D, g2: Grid2D) -> Grid2D:
     return Grid2D(nx, ny, x1min, x1min + nx * h1, x2min, x2min + ny * h2)
 
 
-def _distance_norms(xi: Field2D, om: Field2D) -> float:
+def distance_norm(xi: Field2D, om: Field2D) -> float:
+    """||xi - om||_1 + ||xi - om||_2 + ||x1 (xi - om)||_1 on xi's grid."""
     d = Field2D(xi.grid, xi.values - om.values)
-    return lp_norm(d, 1) + lp_norm(d, 2) + _weighted_l1_x1(d)
-
-
-def _weighted_l1_x1(f: Field2D) -> float:
-    x1 = f.grid.x1_centers()
-    return float(np.sum(np.abs(f.values) * np.abs(x1)[None, :]) * f.grid.cell_area)
+    x1 = d.grid.x1_centers()
+    return (lp_norm(d, 1) + lp_norm(d, 2)
+            + float(np.sum(np.abs(d.values) * np.abs(x1)[None, :])
+                    * d.grid.cell_area))
 
 
 def orbital_distance(xi: Field2D, omega: Field2D, c_min, c_max):
@@ -351,16 +347,16 @@ def orbital_distance(xi: Field2D, omega: Field2D, c_min, c_max):
     if c_min <= 0.0 <= c_max:
         cs.append(0.0)
     cs = sorted(set(float(c) for c in cs))
-    vals = [(_distance_norms(xi_e, shift_x2(om_e, c)), c) for c in cs]
+    vals = [(distance_norm(xi_e, shift_x2(om_e, c)), c) for c in cs]
     best_val, best_c = min(vals)
     # 3-point parabolic refinement with linearly interpolated shifts
-    d_m = _distance_norms(xi_e, shift_x2(om_e, best_c - step))
-    d_p = _distance_norms(xi_e, shift_x2(om_e, best_c + step))
+    d_m = distance_norm(xi_e, shift_x2(om_e, best_c - step))
+    d_p = distance_norm(xi_e, shift_x2(om_e, best_c + step))
     denom = d_m - 2.0 * best_val + d_p
     if denom > 0:
         c_v = best_c + 0.5 * step * (d_m - d_p) / denom
         c_v = min(max(c_v, best_c - step), best_c + step)
-        d_v = _distance_norms(xi_e, shift_x2(om_e, c_v))
+        d_v = distance_norm(xi_e, shift_x2(om_e, c_v))
         if d_v < best_val:
             best_val, best_c = d_v, c_v
     return best_val, best_c
@@ -406,16 +402,21 @@ def read_field(path) -> Field2D:
     except ValueError as exc:
         raise FieldFormatError(f"bad grid token: {exc}", line=2) from exc
     grid = Grid2D(nx, ny, *ext)
-    vals = np.empty((ny, nx))
-    for j in range(ny):
-        if 2 + j >= len(lines):
-            raise FieldFormatError(f"missing data row {j}", line=3 + j)
-        row = lines[2 + j].split()
-        if len(row) != nx:
+    # the data rows are counted before the grid's array is allocated, so a
+    # grid line naming more cells than the file holds fails here
+    rows = lines[2:2 + ny]
+    if len(rows) < ny:
+        raise FieldFormatError(f"missing data row {len(rows)}",
+                               line=3 + len(rows))
+    for j, row in enumerate(rows):
+        count = len(row.split())
+        if count != nx:
             raise FieldFormatError(
-                f"row {j} has {len(row)} values, expected {nx}", line=3 + j)
+                f"row {j} has {count} values, expected {nx}", line=3 + j)
+    vals = np.empty((ny, nx))
+    for j, row in enumerate(rows):
         try:
-            vals[j] = [float(t) for t in row]
+            vals[j] = [float(t) for t in row.split()]
         except ValueError as exc:
             raise FieldFormatError(f"bad value in row {j}: {exc}",
                                    line=3 + j) from exc

@@ -9,15 +9,12 @@ kernel subtracts the image across the wall x1 = 0:
 Potentials and velocities of cell-averaged fields are midpoint-rule sums over
 cell centers.  The potential's self cell uses the exact kernel integral over
 the equal-area disk of radius h/sqrt(pi); the velocity's self cell is zero
-(odd kernel over a symmetric cell).  Two evaluation routes exist:
-
-* direct summation at arbitrary targets, fixed per-target order (the
-  oracle, `direct_sum`);
-* FFT convolution of the identical tableau for grid-aligned targets:
-  `potential_free_grid`, `potential_halfplane_grid` and
-  `velocity_pair_grid`.  Each takes one forward transform of the source
-  and multiplies it by kernel spectra cached per (grid, s); the image term
-  reuses that transform through the spectrum of the x1-flipped source.
+(odd kernel over a symmetric cell).  The sums are evaluated at the cell
+centers of the field's own grid by FFT convolution of the tableau of kernel
+values: `potential_free_grid`, `potential_halfplane_grid` and
+`velocity_pair_grid`.  Each takes one forward transform of the source and
+multiplies it by kernel spectra cached per (grid, s); the image term reuses
+that transform through the spectrum of the x1-flipped source.
 """
 
 import math
@@ -28,8 +25,6 @@ from scipy.fft import next_fast_len, irfft2, rfft2
 
 from .errors import DomainError, ParameterError
 from .fields import Field2D, Grid2D
-
-_COINCIDE_REL = 1e-9  # target closer than this (in cell widths) is "the cell"
 
 
 def riesz_constant(s: float) -> float:
@@ -49,66 +44,6 @@ def singular_cell_weight(h: float, s: float) -> float:
         raise ParameterError("cell width must be positive")
     rho = h / math.sqrt(math.pi)
     return riesz_constant(s) * math.pi * rho ** (2.0 * s) / s
-
-
-# ---------------------------------------------------------------------------
-# direct summation at arbitrary targets
-
-
-def _cell_data(field: Field2D):
-    g = field.grid
-    X1, X2 = g.centers()
-    m = field.values * g.cell_area
-    return X1.ravel(), X2.ravel(), m.ravel()
-
-
-def direct_sum(field: Field2D, targets, s: float, velocity=False,
-               halfplane=False):
-    """Midpoint-rule potential or velocity of a field at arbitrary targets.
-
-    The potential is sum_y G(x - y) m(y); the velocity is
-    u(x) = sum_y c_s (2s-2) |x-y|^(2s-4) (x-y)^perp m(y), with
-    (a1, a2)^perp = (a2, -a1), returned as an (n, 2) array.  A target
-    coinciding with a cell center takes that cell's contribution from the
-    equal-area-disk weight (potential) or zero (velocity) instead of the
-    singular kernel value.  With halfplane=True the reflection of the field
-    is subtracted (the odd-in-x1 extension); each pair (cell, image cell) is
-    combined before summation, so on the wall x1 = 0 the potential and u1
-    vanish exactly in floating point.  Summation is numpy's fixed pairwise
-    order per target; results do not depend on how targets are partitioned
-    across workers.
-    """
-    fac, expo = riesz_constant(s), s - 1.0
-    g = field.grid
-    if halfplane and g.x1min < -1e-12 * g.h1:
-        raise DomainError("half-plane sums need support in {x1 >= 0}")
-    cx, cy, m = _cell_data(field)
-    w_self = singular_cell_weight(g.h1, s) / g.cell_area
-    if velocity:
-        fac, expo, w_self = fac * (2.0 * s - 2.0), s - 2.0, 0.0
-    tol2 = (_COINCIDE_REL * g.h1) ** 2
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty((targets.shape[0], 2 if velocity else 1))
-    for k, (tx, ty) in enumerate(targets):
-        dx, dy = tx - cx, ty - cy
-        r2 = dx * dx + dy * dy
-        hit = r2 < tol2
-        kern = np.where(hit, w_self, fac * np.where(hit, 1.0, r2) ** expo)
-        if halfplane:
-            dxi = tx + cx
-            kern_i = fac * (dxi * dxi + dy * dy) ** expo
-        if not velocity:
-            out[k] = np.sum((kern - kern_i if halfplane else kern) * m)
-        elif halfplane:
-            out[k] = (np.sum((kern - kern_i) * dy * m),
-                      np.sum((-kern * dx + kern_i * dxi) * m))
-        else:
-            out[k] = np.sum(kern * dy * m), np.sum(kern * (-dx) * m)
-    return out if velocity else out[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# grid-aligned FFT fast paths (identical tableau, O(N log N))
 
 
 def _tableaus(grid, s, image):
@@ -207,8 +142,9 @@ def _grid_spectra(grid, s, halfplane_op=None):
 def potential_free_grid(field: Field2D, s: float) -> np.ndarray:
     """Free-space potential at every cell center of the field's own grid.
 
-    Computes exactly the midpoint sum of `direct_sum` via FFT convolution
-    (deterministic, identical up to roundoff)."""
+    Computes the midpoint sum by FFT convolution (deterministic); the direct
+    summation that it equals up to roundoff is the reference in
+    tests/oracles.py."""
     sp = _grid_spectra(field.grid, s)
     lat = sp["lattice"]
     return lat.inverse(lat.forward(field.values * field.grid.cell_area)

@@ -32,10 +32,9 @@ from .errors import (
     DomainTooSmallError,
     ParameterError,
     RegimeError,
-    ResourceLimitError,
 )
 from .fields import Field2D, Grid2D, RadialField, annulus_areas
-from .kernels import potential_free_grid, riesz_constant, singular_cell_weight
+from .kernels import potential_free_grid, riesz_constant
 from .profiles import PowerProfile, check_positive, compute_struct_constants
 
 
@@ -649,57 +648,25 @@ def _constraint_basis(grid, mask):
 
 
 _GAP_COLLAR = 2     # cells of collar around the coefficient's support
-_GAP_ITERS = 30     # inverse iterations of the iterative method
-_GAP_CG_TOL = 1e-8  # relative tolerance of each of its CG solves
-_GAP_SEED = 7       # seed of its random start
+_GAP_ITERS = 30     # inverse iterations
+_GAP_CG_TOL = 1e-8  # relative tolerance of each of their CG solves
+_GAP_SEED = 7       # seed of the random start
 
 
-def spectral_gap_estimate(state: Limiting2DState, method, max_cells=6000):
+def spectral_gap_estimate(state: Limiting2DState):
     """Minimum singular value of the linearized operator restricted to cells
     carrying its coefficient (plus a collar), projected onto
     {int phi = int x1 phi = int x2 phi = 0}.
 
-    method "dense" assembles the operator (capped at max_cells cells);
-    "iterative" runs matrix-free inverse iteration with CG on the normal
-    equations, each apply being one FFT potential evaluation.
+    Matrix-free inverse iteration with CG on the normal equations, each
+    apply being one FFT potential evaluation.
     """
     coeff, r_mean = _linearization(state)
     mask = binary_dilation(coeff > 0.0, iterations=_GAP_COLLAR)
     n_cells = int(mask.sum())
     if n_cells == 0:
         # the coefficient vanishes: the operator is the identity
-        return {"gap": 1.0, "n_cells": 0, "method": method}
-    if method == "dense":
-        if n_cells > max_cells:
-            raise ResourceLimitError(
-                f"dense assembly of {n_cells} cells exceeds cap {max_cells}")
-        return _gap_dense(state, coeff, mask, r_mean)
-    return _gap_iterative(state, coeff, mask, r_mean, n_cells)
-
-
-def _gap_dense(state, coeff, mask, r_mean):
-    grid = state.field.grid
-    a = grid.cell_area
-    X1, X2 = grid.centers()
-    xs = np.column_stack([X1[mask], X2[mask]])
-    n = xs.shape[0]
-    d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, 1.0)
-    s = state.profile.s
-    M = riesz_constant(s) * d2 ** (s - 1.0) * a
-    np.fill_diagonal(M, singular_cell_weight(grid.h1, s))
-    L = np.eye(n) - coeff[mask][:, None] * (M - r_mean * a)
-    sv_all = np.linalg.svd(L, compute_uv=False)
-    Q = _constraint_basis(grid, mask)[mask.ravel()]
-    B = L @ (np.eye(n) - Q @ Q.T)
-    sv = np.sort(np.linalg.svd(B, compute_uv=False))
-    # the 3 constraint directions contribute 3 exact zeros; drop them
-    return {"gap": float(sv[3]), "n_cells": n, "method": "dense",
-            "singular_values_smallest": list(sv[:6]),
-            "unprojected_smallest": sorted(sv_all)[:6]}
-
-
-def _gap_iterative(state, coeff, mask, r_mean, n_cells):
+        return {"gap": 1.0, "n_cells": 0}
     grid = state.field.grid
     a = grid.cell_area
     s = state.profile.s
@@ -739,8 +706,7 @@ def _gap_iterative(state, coeff, mask, r_mean, n_cells):
             break
         v = z / nz
         lam = float(v @ apply_B(v))
-    return {"gap": math.sqrt(max(lam, 0.0)), "n_cells": n_cells,
-            "method": "iterative"}
+    return {"gap": math.sqrt(max(lam, 0.0)), "n_cells": n_cells}
 
 
 def _cg(apply_A, b, tol, max_iter):

@@ -26,12 +26,14 @@ from .errors import ConvergenceError, DomainError, GsqgError, ParameterError
 from .fields import (
     Field2D,
     Grid2D,
+    distance_norm,
+    embed,
     impulse,
-    lp_norm,
     mass,
     orbital_distance,
     rearrangement_equimeasurable,
     reflect_oddify,
+    shift_x2,
     steiner_symmetrize_x2,
 )
 from .kernels import (
@@ -574,8 +576,6 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
     The window is extended first so the shifted copy is an exact
     rearrangement; collapse back onto a translate is measured by the orbital
     distance against the threshold of a two-cell misalignment."""
-    from .fields import embed, shift_x2
-
     if cells < 1:
         raise ParameterError(f"shift_cells={cells} must be at least 1")
     g = field.grid
@@ -588,12 +588,7 @@ def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
                                                    max_iter=max_iter)
     dist, c = orbital_distance(zeta, ref, -(cells + 3) * g.h2,
                                (cells + 3) * g.h2)
-    two_cell = shift_x2(ref, 2.0 * g.h2)
-    diff = Field2D(ext, two_cell.values - ref.values)
-    x1 = ext.x1_centers()
-    threshold = (lp_norm(diff, 1) + lp_norm(diff, 2)
-                 + float(np.sum(np.abs(diff.values) * x1[None, :])
-                         * ext.cell_area))
+    threshold = distance_norm(shift_x2(ref, 2.0 * g.h2), ref)
     trace = info["energy_trace"]
     monotone = all(trace[i + 1] >= trace[i] - 1e-10 * abs(trace[i])
                    for i in range(len(trace) - 1))

@@ -64,19 +64,10 @@ class PowerProfile:
         """(1/(L*gamma))^(1/(gamma-1)); equals 1 for the canonical L."""
         return (1.0 / (self.L * self.gamma)) ** (1.0 / (self.gamma - 1.0))
 
-    # -- pointwise maps (all accept scalars or arrays) --
-
-    def f(self, t):
-        return np.clip(t, 0.0, None) ** self.p
-
-    def f_inverse(self, tau):
-        return _halfline(tau, "f^{-1}") ** (1.0 / self.p)
+    # -- pointwise maps (both accept scalars or arrays) --
 
     def J(self, t):
         return self.L * _halfline(t, "J") ** self.gamma
-
-    def Jprime(self, t):
-        return self.L * self.gamma * _halfline(t, "J'") ** (self.gamma - 1.0)
 
     def Jprime_inverse(self, tau):
         """(J')^{-1}(tau) = (tau / (L*gamma))_+^p = L_gamma * tau_+^p."""

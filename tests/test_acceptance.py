@@ -67,7 +67,7 @@ def test_criterion_2_quadrature_oracle():
     """Unit-disk potential at the center: 1.0 within 2% at 256^2,
     improving >= 1.5x at 512^2."""
     from gsqg.fields import Field2D, Grid2D
-    from gsqg.kernels import direct_sum
+    from oracles import direct_sum
 
     err = {}
     for n in (256, 512):
@@ -127,8 +127,8 @@ def test_criterion_4_nondegeneracy(limiting_canonical):
         out = linearized_apply(mode, st128, include_mean_term=False)
         resid[axis] = lp_norm(out, 2) / lp_norm(mode, 2)
     st96 = to_state_2d(limiting_canonical, 96)
-    gap96 = spectral_gap_estimate(st96, method="iterative")["gap"]
-    gap128 = spectral_gap_estimate(st128, method="iterative")["gap"]
+    gap96 = spectral_gap_estimate(st96)["gap"]
+    gap128 = spectral_gap_estimate(st128)["gap"]
     stable = abs(gap128 - gap96) / gap128
     ok = (max(resid.values()) <= 0.05 and gap96 > 0 and gap128 > 0
           and stable <= 0.30)

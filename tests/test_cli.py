@@ -564,6 +564,44 @@ class TestVerify:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [None, "-0.1", math.nan, KeyError],
+                             ids=["null", "string", "nan", "missing"])
+    def test_limiting_file_without_a_finite_E0_exits_usage(
+            self, pair_run, tmp_path, capsys, value):
+        # verify reads the ground-state energy E0 for its bracket identity
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        rep = json.loads((bad / "limiting.json").read_text())
+        if value is KeyError:
+            del rep["E0"]
+        else:
+            rep["E0"] = value
+        (bad / "limiting.json").write_text(json.dumps(rep))
+        out = tmp_path / "o"
+        assert run(["verify", "--run", bad, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "limiting.json" in err and "'E0'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_field_grid_beyond_its_rows_exits_usage(self, pair_run, tmp_path,
+                                                    capsys):
+        # a grid line naming 1e11 columns fails on the rows the file holds,
+        # before an array of that size is asked for
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        path = bad / "omega_eps0p2.field"
+        lines = path.read_text().split("\n")
+        lines[1] = " ".join(["100000000000"] + lines[1].split()[1:])
+        path.write_text("\n".join(lines))
+        out = tmp_path / "o"
+        assert run(["verify", "--run", bad, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _run_quietly(args):
     """Exit code and stderr of one command (capsys is per test, and a

@@ -113,7 +113,7 @@ class TestVelocity:
     def test_self_induced_drift_matches_point_pair(self):
         # far-from-wall blob: velocity at its exact center is the
         # image-induced drift -c_s (2-2s) kappa (2a)^(2s-3) e2 + O((R/a)^2)
-        from gsqg.kernels import direct_sum
+        from oracles import direct_sum
 
         a = 8.0
         f = blob_field(n=128, center=(a, 0.0), radius=0.35,

@@ -384,6 +384,19 @@ class TestFieldFile:
             read_field(path)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("grid_line,line", [
+        ("100000000000 2 0 1 0 1", 3), ("3 100000000000 0 1 0 1", 5)],
+        ids=["nx", "ny"])
+    def test_grid_beyond_the_rows_fails_before_allocating(
+            self, tmp_path, grid_line, line):
+        # the header names a grid of 1.6 TB or more; the two data rows
+        # fail the check before any array is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text(f"gsqg-field 1\n{grid_line}\n1 2 3\n4 5 6\n")
+        with pytest.raises(FieldFormatError) as exc:
+            read_field(path)
+        assert exc.value.line == line
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.txt"
         path.write_text("not-a-field\n")

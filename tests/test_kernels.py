@@ -6,7 +6,6 @@ import pytest
 from gsqg.errors import ParameterError
 from gsqg.fields import Field2D, Grid2D
 from gsqg.kernels import (
-    direct_sum,
     potential_free_grid,
     potential_halfplane_grid,
     riesz_constant,
@@ -14,6 +13,7 @@ from gsqg.kernels import (
     velocity_pair_grid,
 )
 from gsqg.limiting import ring_potential_matrix
+from oracles import direct_sum
 
 # frozen from a 40-digit mpmath evaluation of Gamma(1-s)/(2^(2s) pi Gamma(s))
 C_075 = 0.3329679355017003

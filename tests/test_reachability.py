@@ -1,9 +1,12 @@
-"""Every public function and class of the package has a caller.
+"""Every public function, class and method of the package has a caller.
 
-A public top-level name of src/gsqg counts as reached when it is referenced
-outside its own definition: elsewhere in the package, in the acceptance
-battery (tests/test_acceptance.py), or in README's list of functions without
-a CLI caller.  Module tests alone do not count.
+A public top-level name of src/gsqg, or a public method or property of a
+public class, counts as reached when it is referenced outside its own
+definition: elsewhere in the package, in the acceptance battery
+(tests/test_acceptance.py), or in README's list of functions without a CLI
+caller.  Module tests alone do not count.  Names are matched as written, so
+a method that shares its name with some other name of the package (a
+variable, a function) counts as reached through it.
 """
 
 import ast
@@ -22,21 +25,69 @@ def _public_defs(tree):
             and not node.name.startswith("_")]
 
 
-def _references(tree):
-    """Names referenced in a module, each with the top-level definition it
-    sits in (None at module level)."""
-    refs = []
-    for top in tree.body:
-        owner = top.name if isinstance(
-            top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                refs.append((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, owner))
-            elif isinstance(node, ast.ImportFrom):
-                refs.extend((alias.name, owner) for alias in node.names)
-    return refs
+def _public_methods(tree):
+    """(class, method) of every public method or property of a public
+    class."""
+    return [(cls.name, node) for cls in _public_defs(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+class _References(ast.NodeVisitor):
+    """(name, owner) of each name a module references.  The owner is the
+    top-level definition the reference sits in, "Class.method" inside a
+    method, and None at module level."""
+
+    def __init__(self, tree):
+        self.refs, self._stack = [], []
+        self.visit(tree)
+
+    def _owner(self):
+        if not self._stack:
+            return None
+        top = self._stack[0]
+        if (isinstance(top, ast.ClassDef) and len(self._stack) > 1
+                and isinstance(self._stack[1], ast.FunctionDef)):
+            return f"{top.name}.{self._stack[1].name}"
+        return top.name
+
+    def visit_FunctionDef(self, node):
+        self._stack.append(node)
+        self.generic_visit(node)
+        self._stack.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self.refs.append((node.id, self._owner()))
+
+    def visit_Attribute(self, node):
+        self.refs.append((node.attr, self._owner()))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.refs.extend((alias.name, self._owner()) for alias in node.names)
+
+
+def _package():
+    """Parsed modules of the package and every reference in it as
+    (module path, name, owner)."""
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    used = [(path, name, owner) for path, tree in modules.items()
+            for name, owner in _References(tree).refs]
+    return modules, used
+
+
+def _referenced(used, name, path, own):
+    """Whether the package references name outside the definition `own`
+    of module `path` (own is an owner, or a top-level name that covers its
+    methods too)."""
+    return any(ref == name and not (
+        where == path and owner is not None
+        and (owner == own or owner.startswith(own + ".")))
+        for where, ref, owner in used)
 
 
 def _readme_names():
@@ -46,24 +97,32 @@ def _readme_names():
     return set(re.findall(r"`(\w+)`", text[start:end if end >= 0 else None]))
 
 
+def _outside_callers():
+    acceptance = {name for name, _ in _References(
+        ast.parse(ACCEPTANCE.read_text())).refs}
+    return acceptance | _readme_names()
+
+
 def test_every_public_name_has_a_caller():
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(PACKAGE.glob("*.py"))}
-    used = set()
-    for path, tree in modules.items():
-        used.update((path, name, owner) for name, owner in _references(tree))
-    acceptance = {name for name, _ in _references(
-        ast.parse(ACCEPTANCE.read_text()))}
-    readme = _readme_names()
-    unreached = []
-    for path, tree in modules.items():
-        for node in _public_defs(tree):
-            name = node.name
-            in_package = any(
-                ref == name and not (where == path and owner == name)
-                for where, ref, owner in used)
-            if not (in_package or name in acceptance or name in readme):
-                unreached.append(f"{path.name}:{node.lineno} {name}")
+    modules, used = _package()
+    outside = _outside_callers()
+    unreached = [f"{path.name}:{node.lineno} {node.name}"
+                 for path, tree in modules.items()
+                 for node in _public_defs(tree)
+                 if node.name not in outside
+                 and not _referenced(used, node.name, path, node.name)]
+    assert not unreached, unreached
+
+
+def test_every_public_method_has_a_caller():
+    modules, used = _package()
+    outside = _outside_callers()
+    unreached = [f"{path.name}:{node.lineno} {cls}.{node.name}"
+                 for path, tree in modules.items()
+                 for cls, node in _public_methods(tree)
+                 if node.name not in outside
+                 and not _referenced(used, node.name, path,
+                                     f"{cls}.{node.name}")]
     assert not unreached, unreached
 
 
@@ -71,3 +130,13 @@ def test_readme_list_names_only_package_functions():
     public = {node.name for path in PACKAGE.glob("*.py")
               for node in _public_defs(ast.parse(path.read_text()))}
     assert _readme_names() <= public
+
+
+def test_readme_list_names_no_package_caller():
+    # a listed function that the package calls belongs off the list
+    modules, used = _package()
+    called = [f"{path.name} {node.name}" for path, tree in modules.items()
+              for node in _public_defs(tree)
+              if node.name in _readme_names()
+              and _referenced(used, node.name, path, node.name)]
+    assert not called, called
