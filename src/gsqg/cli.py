@@ -72,7 +72,7 @@ def _build_parser():
     _COMMAND_KEYS row: --max-iter sets max_iter."""
     ap = _Parser(prog="gsqg", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (_, help_) in _COMMANDS.items():
+    for command, (_, help_, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="flat key=value config file")
         for k in _COMMAND_KEYS[command]:
@@ -86,11 +86,25 @@ def _read_json(*path):
         return json.load(fh)
 
 
-def _convert(key, text):
-    """A key's value from flag or config-file text alike; ValueError naming
-    the key unless a float is finite and an int (count, seed, switch) >= 0."""
+def _read_manifest(run_dir):
+    """The manifest of run_dir; ValueError unless it is an object with a
+    "config" object, a "files" list and maybe a "stages" object of names."""
+    path = os.path.join(run_dir, "manifest.json")
+    m = _read_json(path)
+    stages = m.get("stages", {}) if isinstance(m, dict) else None
+    names = m.get("files") if isinstance(stages, dict) else None
+    if not (isinstance(names, list) and isinstance(m.get("config"), dict)
+            and all(isinstance(f, str) for f in names + [*stages.values()])):
+        raise ValueError(f"{path} needs a 'config' object, a 'files' list "
+                         "of names and, if present, a 'stages' object")
+    return m
+
+
+def _convert(key, text, kind=None):
+    """A key's value, as kind or else the key's type, from flag or config
+    text; ValueError naming the key unless a float is finite, an int >= 0."""
     try:
-        value = _CONFIG_KEYS[key](text)
+        value = (kind or _CONFIG_KEYS[key])(text)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
@@ -132,7 +146,7 @@ def _merge(args):
 
 
 class RunDir:
-    """Output directory with a manifest written atomically at the end.
+    """Output directory of one command; main writes its manifest at the end.
 
     The directory appears at the first write, so a command that fails
     before any output leaves none.  The manifest holds only deterministic
@@ -153,7 +167,7 @@ class RunDir:
         self.wall_time_s = {}
         self.t0 = time.perf_counter()
         if extend and os.path.exists(os.path.join(path, "manifest.json")):
-            manifest = _read_json(path, "manifest.json")
+            manifest = _read_manifest(path)
             self.config.update(manifest["config"])
             self.files = list(manifest["files"])
             self.stages = dict(manifest.get("stages", {}))
@@ -182,6 +196,11 @@ class RunDir:
         write_field(field, self._file(name))
         self.files.append(name)
 
+    def stage(self, name, report):
+        """Write report to <name>.json and record it as stage name."""
+        self.write_json(name + ".json", report)
+        self.stages[name] = name + ".json"
+
     def finish(self):
         from . import __version__
         self.wall_time_s[self.command] = time.perf_counter() - self.t0
@@ -200,68 +219,63 @@ def _require(cfg, keys):
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
 
 
+def _given(cfg, *keys):
+    """The keys of cfg among keys: the library signature holds each default."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes into the RunDir that main opens and finishes
 
 
-def _solve_limiting(cfg):
-    """The limiting solve of solve-limiting and of solve-pair's first stage."""
+def _solve_limiting(cfg, run):
+    """Solve and write the limiting stage of solve-limiting and solve-pair."""
     from .limiting import solve_limiting
-    return solve_limiting(
-        cfg["s"], cfg["p"], kappa=cfg["kappa"], L=cfg.get("L"),
-        nr=cfg.get("nr", 256), n_angles=cfg.get("n_angles", 64),
-        tol=cfg.get("tol", 1e-6), max_iter=cfg.get("max_iter", 2000))
+    sol = solve_limiting(cfg["s"], cfg["p"], kappa=cfg["kappa"],
+                         **_given(cfg, "L", "nr", "n_angles", "tol",
+                                  "max_iter"))
+    run.stage("limiting", sol.report())
+    return sol
 
 
-def cmd_solve_limiting(cfg):
-    _require(cfg, ["s", "p", "kappa", "out"])
-    run = RunDir(cfg["out"], cfg, "solve-limiting")
-    sol = _solve_limiting(cfg)
-    run.write_json("limiting.json", sol.report())
+def cmd_solve_limiting(cfg, run):
+    sol = _solve_limiting(cfg, run)
     r = sol.omega0.radii()
     rows = "\n".join("%.17g,%.17g" % (ri, vi)
                      for ri, vi in zip(r, sol.omega0.values))
     run.write_text("omega0_radial.csv", "r,omega\n" + rows + "\n")
-    run.stages["limiting"] = "limiting.json"
-    run.finish()
     return EXIT_OK
 
 
-def cmd_solve_pair(cfg):
+def cmd_solve_pair(cfg, run):
     from .pair import (ConstraintActiveError, PairProblem,
                        check_window_cells, solve_pair)
     from .profiles import PowerProfile
-    _require(cfg, ["s", "p", "kappa", "W", "out"])
     # the pair arguments are checked before the limiting stage writes, so
     # a bad one costs no solve and leaves no partial run directory
     profile = PowerProfile(p=cfg["p"], s=cfg["s"], L=cfg.get("L"))
     raw = cfg.get("eps", "0.2,0.1,0.05")
     problems = [PairProblem(profile, kappa=cfg["kappa"], W=cfg["W"],
-                            eps=float(t)) for t in raw.split(",") if t.strip()]
+                            eps=_convert("eps", t, float))
+                for t in raw.split(",") if t.strip()]
     if not problems:
         raise ValueError(f"eps={raw!r} gives no value")
-    check_window_cells(cfg.get("n", 192))
-    run = RunDir(cfg["out"], cfg, "solve-pair")
-    lim = _solve_limiting(cfg)
-    run.write_json("limiting.json", lim.report())
-    run.stages["limiting"] = "limiting.json"
+    if "n" in cfg:
+        check_window_cells(cfg["n"])
+    lim = _solve_limiting(cfg, run)
     status = EXIT_OK
     for problem in problems:
         tag = ("%g" % problem.eps).replace(".", "p")
         try:
-            sol = solve_pair(
-                problem, lim, n=cfg.get("n", 192), tol=cfg.get("tol", 1e-6),
-                max_iter=cfg.get("max_iter", 2000),
-                allow_active=bool(cfg.get("allow_active", 0)))
+            sol = solve_pair(problem, lim, **_given(
+                cfg, "n", "tol", "max_iter", "allow_active"))
         except ConstraintActiveError as exc:
             sys.stderr.write(f"eps={problem.eps}: {exc}\n")
             run.write_json(f"pair_eps{tag}.json", exc.solution.report())
             status = EXIT_NOCONV
             continue
-        run.write_json(f"pair_eps{tag}.json", sol.report())
+        run.stage(f"pair_eps{tag}", sol.report())
         run.write_field(f"omega_eps{tag}.field", sol.omega)
-        run.stages[f"pair_eps{tag}"] = f"pair_eps{tag}.json"
-    run.finish()
     return status
 
 
@@ -278,14 +292,14 @@ def _load_pair_runs(run_dir):
     from .fields import read_field
     from .pair import PairProblem
     from .profiles import PowerProfile, check_positive
-    manifest = _read_json(run_dir, "manifest.json")
+    files = _read_manifest(run_dir)["files"]
     out = []
-    for name in manifest["files"]:
+    for name in files:
         if name.startswith("pair_eps") and name.endswith(".json"):
             rep = _read_json(run_dir, name)
             tag = name[len("pair_eps"):-len(".json")]
             field_name = f"omega_eps{tag}.field"
-            if field_name not in manifest["files"]:
+            if field_name not in files:
                 continue
             missing = [k for k in _PAIR_KEYS if k not in rep]
             if missing:
@@ -309,10 +323,9 @@ _TOLERANCES = {"fixed_point": 1e-6, "location": 0.05, "multiplier": 0.05,
                "weak_form": 0.02, "steiner": 1e-10, "bracket": 1e-3}
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, run):
     from .pair import rebuild_solution
     from .profiles import check_positive
-    _require(cfg, ["run"])
     run_dir = cfg["run"]
     tols = {k: cfg.get("tol_" + k, v) for k, v in _TOLERANCES.items()}
     for k, v in tols.items():
@@ -326,7 +339,6 @@ def cmd_verify(cfg):
     if (isinstance(E0, bool) or not isinstance(E0, (int, float))
             or not math.isfinite(E0)):
         raise ValueError(f"{where}: 'E0' must be a finite number, got {E0!r}")
-    run = RunDir(cfg.get("out", run_dir), cfg, "verify", extend=True)
     table = []
     worst_fail = None
     for problem, field, rep in pairs:
@@ -350,7 +362,7 @@ def cmd_verify(cfg):
         table.append({"eps": problem.eps, "identity": "s_eps_sup",
                       "value": res["s_eps_sup"], "tolerance": None,
                       "pass": True})
-    run.write_json("verify.json", {"tolerances": tols, "table": table})
+    run.stage("verify", {"tolerances": tols, "table": table})
     lines = ["eps,identity,value,tolerance,pass"]
     for row in table:
         lines.append("%g,%s,%.17g,%s,%s" % (
@@ -358,8 +370,6 @@ def cmd_verify(cfg):
             "" if row["tolerance"] is None else "%.17g" % row["tolerance"],
             "pass" if row["pass"] else "fail"))
     run.write_text("verify.csv", "\n".join(lines) + "\n")
-    run.stages["verify"] = "verify.json"
-    run.finish()
     if worst_fail is not None:
         sys.stderr.write(
             "verification failed at eps=%g: identity %r = %.3g exceeds "
@@ -374,11 +384,15 @@ def _parse_perturb(specs, seed):
     if isinstance(specs, str):
         specs = [t for t in specs.split(";") if t]
     out = []
-    for k, spec in enumerate(specs or ["none"]):
+    for k, spec in enumerate(specs or []):
         kind, *rest = spec.split(":")
-        amp = float(rest[0]) if rest else 0.0
-        sd = int(rest[1]) if len(rest) > 1 else seed + k
-        if kind not in PERTURBATION_KINDS or not math.isfinite(amp) or sd < 0:
+        try:
+            amp = float(rest[0]) if rest else 0.0
+            sd = int(rest[1]) if len(rest) > 1 else seed + k
+            ok = kind in PERTURBATION_KINDS and math.isfinite(amp) and sd >= 0
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValueError(f"perturbation {spec!r} needs a kind of "
                              f"{PERTURBATION_KINDS}, a finite amplitude and "
                              "a seed >= 0")
@@ -386,19 +400,15 @@ def _parse_perturb(specs, seed):
     return out
 
 
-def cmd_evolve(cfg):
+def cmd_evolve(cfg, run):
     from .evolution import (TRAJECTORY_COLUMNS, EvolutionConfig, evolve,
                             stability_experiment)
-    _require(cfg, ["run"])
     problem, field, rep = _load_pair_runs(cfg["run"])[0]
     T = cfg.get("T", 2.0 * rep["support_radius"] / problem.speed)
-    config = EvolutionConfig(
-        dt=cfg.get("dt"), T=T, cfl=cfg.get("cfl", 0.4),
-        diag_every=cfg.get("diag_every", 10),
-        snapshot_every=cfg.get("snapshot_every", 0))
+    config = EvolutionConfig(T=T, **_given(cfg, "dt", "cfl", "diag_every",
+                                           "snapshot_every"))
     perturbs = _parse_perturb(cfg.get("perturb"), cfg["seed"])
-    run = RunDir(cfg.get("out", cfg["run"]), cfg, "evolve", extend=True)
-    if perturbs == [("none", 0.0, cfg["seed"])]:
+    if not perturbs:
         trajectory = evolve(field, problem.profile.s, config, reference=field,
                             speed_hint=problem.speed)
         lines = [",".join(TRAJECTORY_COLUMNS)]
@@ -407,7 +417,7 @@ def cmd_evolve(cfg):
         run.write_text("trajectory.csv", "\n".join(lines) + "\n")
         for step, snap in trajectory.snapshots.items():
             run.write_field(f"snapshot_{step:06d}.field", snap)
-        summary = {
+        run.stage("evolve", {
             "eps": problem.eps,
             "T": T, "dt": trajectory.dt_used, "steps": trajectory.steps,
             "mass_drift": trajectory.drift("mass"),
@@ -420,51 +430,40 @@ def cmd_evolve(cfg):
             "outflow_max_step": trajectory.outflow_max,
             "scheme_error": trajectory.scheme_error(),
             "flags": trajectory.flags,
-        }
-        run.write_json("evolve.json", summary)
-    else:
-        rows = stability_experiment(field, problem.profile.s, perturbs, config,
-                                    speed_hint=problem.speed,
-                                    seed=cfg["seed"])
-        run.write_json("evolve.json", {"eps": problem.eps, "T": T,
-                                       "experiments": rows})
-        lines = ["kind,amplitude,seed,delta_meas,sup_distance,final_distance"]
-        for r in rows:
-            lines.append("%s,%g,%d,%.17g,%.17g,%.17g" % (
-                r["kind"], r["amplitude"], r["seed"], r["delta_meas"],
-                r["sup_distance"], r["final_distance"]))
-        run.write_text("stability.csv", "\n".join(lines) + "\n")
-    run.stages["evolve"] = "evolve.json"
-    run.finish()
+        })
+        return EXIT_OK
+    rows = stability_experiment(field, problem.profile.s, perturbs, config,
+                                speed_hint=problem.speed, seed=cfg["seed"])
+    run.stage("evolve", {"eps": problem.eps, "T": T, "experiments": rows})
+    lines = ["kind,amplitude,seed,delta_meas,sup_distance,final_distance"]
+    for r in rows:
+        lines.append("%s,%g,%d,%.17g,%.17g,%.17g" % (
+            r["kind"], r["amplitude"], r["seed"], r["delta_meas"],
+            r["sup_distance"], r["final_distance"]))
+    run.write_text("stability.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_rearrange(cfg):
+def cmd_rearrange(cfg, run):
     from .pair import rearrangement_shift_experiment
-    _require(cfg, ["run"])
     problem, field, _ = _load_pair_runs(cfg["run"])[0]
-    run = RunDir(cfg.get("out", cfg["run"]), cfg, "rearrange", extend=True)
-    result = rearrangement_shift_experiment(
-        field, problem, cells=cfg.get("shift_cells", 5))
+    result = rearrangement_shift_experiment(field, problem,
+                                            **_given(cfg, "shift_cells"))
     result.pop("energy_trace")
     result["eps"] = problem.eps
-    run.write_json("rearrange.json", result)
-    run.stages["rearrange"] = "rearrange.json"
-    run.finish()
+    run.stage("rearrange", result)
     return EXIT_OK
 
 
-def cmd_report(cfg):
-    _require(cfg, ["run"])
+def cmd_report(cfg, run):
     run_dir = cfg["run"]
-    manifest = _read_json(run_dir, "manifest.json")
-    summary = {"config": manifest["config"], "version": manifest["version"],
-               "stages": {}}
+    manifest = _read_manifest(run_dir)
+    summary = {"config": manifest["config"],
+               "version": manifest.get("version"), "stages": {}}
     for stage, name in manifest.get("stages", {}).items():
         path = os.path.join(run_dir, name)
         if os.path.exists(path):
             summary["stages"][stage] = _read_json(path)
-    run = RunDir(cfg.get("out", run_dir), cfg, "report", extend=True)
     run.write_json("summary.json", summary)
     rows = ["stage,key,value"]
     for stage, rep in summary["stages"].items():
@@ -472,27 +471,36 @@ def cmd_report(cfg):
             if isinstance(val, (int, float, bool, str)):
                 rows.append(f"{stage},{key},{val}")
     run.write_text("summary.csv", "\n".join(rows) + "\n")
-    run.finish()
     return EXIT_OK
 
 
+# command: (function, help, required keys)
 _COMMANDS = {
-    "solve-limiting": (cmd_solve_limiting, "whole-plane ground state"),
-    "solve-pair": (cmd_solve_pair, "half-plane traveling pair"),
-    "verify": (cmd_verify, "identity battery on a solved run"),
-    "evolve": (cmd_evolve, "transport evolution of a solved pair"),
-    "rearrange": (cmd_rearrange, "rearrangement-class ascent"),
-    "report": (cmd_report, "aggregate a run directory"),
+    "solve-limiting": (cmd_solve_limiting, "whole-plane ground state",
+                       ("s", "p", "kappa", "out")),
+    "solve-pair": (cmd_solve_pair, "half-plane traveling pair",
+                   ("s", "p", "kappa", "W", "out")),
+    "verify": (cmd_verify, "identity battery on a solved run", ("run",)),
+    "evolve": (cmd_evolve, "transport evolution of a solved pair", ("run",)),
+    "rearrange": (cmd_rearrange, "rearrangement-class ascent", ("run",)),
+    "report": (cmd_report, "aggregate a run directory", ("run",)),
 }
 
 
 def main(argv=None):
+    """Run one command into its run directory (--out, else the --run it
+    reads); the manifest is written only when the command returns."""
     args = _build_parser().parse_args(argv)
+    command, _, required = _COMMANDS[args.command]
     try:
         cfg = _merge(args)
+        _require(cfg, required)
         threads = cfg.get("threads", 1)
         if threads < 1:
             raise ValueError(f"threads={threads} must be >= 1")
+        # a command that reads a run extends it
+        run = RunDir(cfg.get("out", cfg.get("run")), cfg, args.command,
+                     extend="run" in cfg)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -503,13 +511,15 @@ def main(argv=None):
                          GsqgError)
     try:
         with scipy.fft.set_workers(threads):
-            return _COMMANDS[args.command][0](cfg)
+            status = command(cfg, run)
     except (ValueError, FileNotFoundError, GsqgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, (BracketError, ConvergenceError,
                             DomainTooSmallError)):
             return EXIT_NOCONV
         return EXIT_USAGE
+    run.finish()
+    return status
 
 
 if __name__ == "__main__":

@@ -570,30 +570,30 @@ def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
 
 
 def rearrangement_shift_experiment(field: Field2D, problem: PairProblem,
-                                   cells=5, max_iter=500):
+                                   shift_cells=5, max_iter=500):
     """Ascent started from an x2-shifted copy of a converged profile.
 
     The window is extended first so the shifted copy is an exact
     rearrangement; collapse back onto a translate is measured by the orbital
     distance against the threshold of a two-cell misalignment."""
-    if cells < 1:
-        raise ParameterError(f"shift_cells={cells} must be at least 1")
+    if shift_cells < 1:
+        raise ParameterError(f"shift_cells={shift_cells} must be at least 1")
     g = field.grid
-    pad = cells + 4
+    pad = shift_cells + 4
     ext = Grid2D(g.nx, g.ny + 2 * pad, g.x1min, g.x1max,
                  g.x2min - pad * g.h2, g.x2max + pad * g.h2)
     ref = embed(field, ext)
-    start = shift_x2(ref, cells * g.h2)
+    start = shift_x2(ref, shift_cells * g.h2)
     zeta, info = maximize_over_rearrangement_class(ref, problem, start=start,
                                                    max_iter=max_iter)
-    dist, c = orbital_distance(zeta, ref, -(cells + 3) * g.h2,
-                               (cells + 3) * g.h2)
+    dist, c = orbital_distance(zeta, ref, -(shift_cells + 3) * g.h2,
+                               (shift_cells + 3) * g.h2)
     threshold = distance_norm(shift_x2(ref, 2.0 * g.h2), ref)
     trace = info["energy_trace"]
     monotone = all(trace[i + 1] >= trace[i] - 1e-10 * abs(trace[i])
                    for i in range(len(trace) - 1))
     return {
-        "shift_cells": cells,
+        "shift_cells": shift_cells,
         "iterations": info["iterations"],
         "stalled": info["stalled"],
         "energy_trace": trace,

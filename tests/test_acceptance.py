@@ -323,8 +323,8 @@ def test_criterion_9_rearrangement_collapse(pair_canonical_diagnosed):
     from gsqg.pair import rearrangement_shift_experiment
 
     sol = pair_canonical_diagnosed
-    result = rearrangement_shift_experiment(sol.omega, sol.problem, cells=5,
-                                            max_iter=300)
+    result = rearrangement_shift_experiment(sol.omega, sol.problem,
+                                            shift_cells=5, max_iter=300)
     checks = {
         "energy trace non-decreasing": result["energy_trace_monotone"],
         "equimeasurable throughout": result["equimeasurable"],

@@ -186,6 +186,8 @@ class TestUsage:
         ["evolve", "--perturb", "bump:inf"],
         ["evolve", "--perturb", "bump:0.05:-3"],
         ["evolve", "--seed", -1, "--perturb", "bump:0.05"],
+        ["solve-pair", *PAIR, "--eps", "0.2,abc"],
+        ["evolve", "--perturb", "bump:0.05:x"],
     ], ids=["limiting-L", "limiting-kappa", "pair-L", "perturb-kind",
             "perturb-amplitude", "shift-3", "shift0", "shift-10",
             "pair-kappa-nan", "pair-L-inf", "pair-W-inf", "pair-eps-inf",
@@ -194,9 +196,10 @@ class TestUsage:
             "limiting-tol-inf", "limiting-tol-1", "limiting-tol-nan",
             "limiting-threads-2", "verify-tol-nan", "verify-tol-1",
             "perturb-amplitude-nan", "perturb-amplitude-inf",
-            "perturb-seed-3", "evolve-seed-1"])
+            "perturb-seed-3", "evolve-seed-1", "pair-eps-abc",
+            "perturb-seed-x"])
     def test_bad_argument_leaves_no_run_directory(self, pair_run, tmp_path,
-                                                  capsys, argv):
+                                                  capsys, request, argv):
         out = tmp_path / "o"
         if not argv[0].startswith("solve"):
             argv = argv[:1] + ["--run", pair_run] + argv[1:]
@@ -205,6 +208,10 @@ class TestUsage:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+        # a bad entry of a list-valued flag is named by its key
+        for key in ("eps", "perturb"):
+            if key in request.node.callspec.id.split("-"):
+                assert key in err, err
 
     # a value just below each count key's bound; -1 for the others
     _BELOW = {"n": 8, "nr": 3, "n_angles": 0, "max_iter": 0, "threads": 0,
@@ -707,6 +714,26 @@ class TestEvolveCmd:
         assert all(v >= 0 for v in sup)
         assert (out / "stability.csv").exists()
 
+    def test_perturb_none_is_a_control_trial(self, pair_run, tmp_path):
+        # any --perturb gives the experiments table, whatever its seed; a
+        # config "perturb" with no spec stays unperturbed
+        out = tmp_path / "evo_none"
+        assert run(["evolve", "--run", pair_run, "--out", out,
+                    "--T", "0.01", "--perturb", "none"]) == 0
+        rows = (out / "stability.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert float(rows[1].split(",")[3]) == 0.0
+        rep = json.loads((out / "evolve.json").read_text())
+        assert [r["delta_meas"] for r in rep["experiments"]] == [0.0]
+        assert not (out / "trajectory.csv").exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("perturb = ;\n")
+        out = tmp_path / "evo_empty"
+        assert run(["evolve", "--run", pair_run, "--out", out,
+                    "--T", "0.01", "--config", cfg]) == 0
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "stability.csv").exists()
+
     def test_threads_bitwise(self, pair_run, tmp_path, monkeypatch):
         import scipy.fft
         import gsqg.kernels
@@ -766,6 +793,85 @@ class TestRunChain:
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings["wall_time_s"]) == {"solve-pair", "verify",
                                                "evolve"}
+
+
+    def test_convergence_error_leaves_no_manifest(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # the limiting stage has written when the pair solve raises: its
+        # file stays, and no manifest claims a finished run
+        import gsqg.pair
+        from gsqg.errors import ConvergenceError
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("pair solve stalled")
+
+        monkeypatch.setattr(gsqg.pair, "solve_pair", fail)
+        out = tmp_path / "o"
+        assert run(["solve-pair", *PAIR, "--eps", "0.2", "--out", out]
+                   + FAST) == 2
+        assert "stalled" in capsys.readouterr().err
+        assert (out / "limiting.json").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_whole_chain_deterministic(self, tmp_path):
+        # solve-pair -> verify -> evolve (plain, then perturbed) ->
+        # rearrange -> report, twice: every file but timings.json is
+        # byte-identical once the run directory's path is factored out
+        chain = [["solve-pair", *PAIR, "--eps", "0.2", *FAST],
+                 ["verify", "--tol-fixed-point", "1e-4"],
+                 ["evolve", "--T", "0.01"],
+                 ["evolve", "--T", "0.01", "--perturb", "bump:0.05"],
+                 ["rearrange"], ["report"]]
+        files = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            for argv in chain:
+                where = "--out" if argv[0] == "solve-pair" else "--run"
+                assert run(argv[:1] + [where, out] + argv[1:]) == 0, argv
+            got = {}
+            for name in sorted(os.listdir(out)):
+                data = (out / name).read_bytes()
+                if name in ("manifest.json", "summary.json"):
+                    data = data.replace(str(out).encode(), b"<run>")
+                got[name] = data
+            files.append(got)
+        assert "stability.csv" in files[0] and "summary.csv" in files[0]
+        del files[0]["timings.json"], files[1]["timings.json"]
+        assert files[0] == files[1]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("damage", [
+        "no-files", "no-config", "files-not-names", "list"])
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["evolve", "--T", "0.01"], ["rearrange"], ["report"]],
+        ids=["verify", "evolve", "rearrange", "report"])
+    def test_malformed_manifest_exits_usage(self, pair_run, tmp_path, capsys,
+                                            command, damage):
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        if damage == "no-files":
+            del manifest["files"]
+        elif damage == "no-config":
+            del manifest["config"]
+        elif damage == "files-not-names":
+            manifest["files"] = [1] + manifest["files"]
+        else:
+            manifest = [manifest]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run([command[0], "--run", bad, "--out", out]
+                   + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest.json" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        # in place, the run directory that the command extends is checked
+        before = sorted(os.listdir(bad))
+        assert run([command[0], "--run", bad] + command[1:]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert sorted(os.listdir(bad)) == before
 
 
 class TestWhichPair:

@@ -478,7 +478,7 @@ class TestRearrangementAscent:
     def test_collapse_to_translate(self, pair_regime):
         result = rearrangement_shift_experiment(pair_regime[0.2].omega,
                                                 pair_regime[0.2].problem,
-                                                cells=5, max_iter=300)
+                                                shift_cells=5, max_iter=300)
         assert result["energy_trace_monotone"]
         assert result["equimeasurable"]
         assert result["collapsed_to_translate"], result
