@@ -7,6 +7,7 @@ failure.  Every run directory receives a manifest listing the files written.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -100,6 +101,19 @@ def _read_manifest(run_dir):
     return m
 
 
+def _read_timings(run_dir):
+    """The "wall_time_s" object of run_dir's timings.json; ValueError
+    unless it maps command names to numbers."""
+    path = os.path.join(run_dir, "timings.json")
+    t = _read_json(path)
+    times = t.get("wall_time_s") if isinstance(t, dict) else None
+    if not (isinstance(times, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in times.values())):
+        raise ValueError(f"{path} needs a 'wall_time_s' object of numbers")
+    return times
+
+
 def _convert(key, text, kind=None):
     """A key's value, as kind or else the key's type, from flag or config
     text; ValueError naming the key unless a float is finite, an int >= 0."""
@@ -172,8 +186,7 @@ class RunDir:
             self.files = list(manifest["files"])
             self.stages = dict(manifest.get("stages", {}))
             if os.path.exists(os.path.join(path, "timings.json")):
-                self.wall_time_s = _read_json(path,
-                                              "timings.json")["wall_time_s"]
+                self.wall_time_s = _read_timings(path)
 
     def _file(self, name):
         """The path of name, creating the directory on the first write."""
@@ -463,7 +476,10 @@ def cmd_report(cfg, run):
     for stage, name in manifest.get("stages", {}).items():
         path = os.path.join(run_dir, name)
         if os.path.exists(path):
-            summary["stages"][stage] = _read_json(path)
+            rep = _read_json(path)
+            if not isinstance(rep, dict):
+                raise ValueError(f"{path} must hold a JSON object")
+            summary["stages"][stage] = rep
     run.write_json("summary.json", summary)
     rows = ["stage,key,value"]
     for stage, rep in summary["stages"].items():
@@ -506,11 +522,16 @@ def main(argv=None):
         return EXIT_USAGE
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(threads))
-    import scipy.fft  # after the variables above, which numpy reads once
+    # scipy's FFTs run one worker unless told otherwise, so one thread
+    # leaves scipy unloaded until (and unless) the command transforms
+    workers = contextlib.nullcontext()
+    if threads > 1:
+        import scipy.fft  # after the variables above, which numpy reads once
+        workers = scipy.fft.set_workers(threads)
     from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
                          GsqgError)
     try:
-        with scipy.fft.set_workers(threads):
+        with workers:
             status = command(cfg, run)
     except (ValueError, FileNotFoundError, GsqgError) as exc:
         sys.stderr.write(f"error: {exc}\n")

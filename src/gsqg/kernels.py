@@ -14,14 +14,17 @@ centers of the field's own grid by FFT convolution of the tableau of kernel
 values: `potential_free_grid`, `potential_halfplane_grid` and
 `velocity_pair_grid`.  Each takes one forward transform of the source and
 multiplies it by kernel spectra cached per (grid, s); the image term reuses
-that transform through the spectrum of the x1-flipped source.
+that transform through the spectrum of the x1-flipped source.  The inverse
+transform skips the padding rows that the crop to the grid discards.
+
+scipy.fft loads with the first lattice, so a command that runs no FFT (the
+radial limiting solve) never imports scipy.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len, irfft2, rfft2
 
 from .errors import DomainError, ParameterError
 from .fields import Field2D, Grid2D
@@ -82,9 +85,11 @@ class _Lattice:
     convolution sum_d T[d] v[x - d] is inverse(forward(v) * hat(T))."""
 
     def __init__(self, ny, nx):
+        import scipy.fft
+        self.fft = scipy.fft
         self.ny, self.nx = ny, nx
-        self.py = next_fast_len(2 * ny)
-        self.px = next_fast_len(2 * nx)
+        self.py = scipy.fft.next_fast_len(2 * ny)
+        self.px = scipy.fft.next_fast_len(2 * nx)
 
     def hat(self, tab):
         ny, nx, py, px = self.ny, self.nx, self.py, self.px
@@ -93,15 +98,25 @@ class _Lattice:
         C[:ny, px - nx + 1:] = tab[ny - 1:, :nx - 1]
         C[py - ny + 1:, :nx] = tab[:ny - 1, nx - 1:]
         C[py - ny + 1:, px - nx + 1:] = tab[:ny - 1, :nx - 1]
-        return rfft2(C)
+        return self.fft.rfft2(C)
 
     def forward(self, v):
         pad = np.zeros((self.py, self.px))
         pad[:self.ny, :self.nx] = v
-        return rfft2(pad)
+        return self.fft.rfft2(pad)
 
     def inverse(self, spec):
-        return irfft2(spec, s=(self.py, self.px))[:self.ny, :self.nx]
+        """The grid part of the real inverse transform of spec on the
+        lattice, bitwise equal to the full 2-D inverse cropped to (ny, nx)
+        but without the rows the crop discards: the x2 pass keeps ny rows,
+        the real x1 pass runs on those alone, and the 1/(py px) scale is
+        applied once, last, as the 2-D inverse applies it.  The x2 pass
+        works in place, so spec is overwritten."""
+        fft = self.fft
+        rows = fft.ifft(spec, axis=0, norm="forward",
+                        overwrite_x=True)[:self.ny]
+        out = fft.irfft(rows, n=self.px, axis=1, norm="forward")[:, :self.nx]
+        return out * (1.0 / (self.py * self.px))
 
 
 @lru_cache(maxsize=16)
@@ -114,8 +129,9 @@ def _spectra(nx, ny, h1, h2, x1min, s):
     through x1min (image terms), so the key drops the x2 extents and window
     recentering along the travel direction reuses the spectra.  The x1-flipped
     source v[:, ::-1] of a real v with spectrum M has spectrum
-    phase * conj(M[rev]), rev = (-k2) mod py; the phase is folded into the
-    image spectra, so the source's one forward transform feeds both terms."""
+    phase * conj(M[rev]), rev = (-k2) mod py (`_flipped`); the phase is
+    folded into the image spectra, so the source's one forward transform
+    feeds both terms."""
     grid = Grid2D(nx, ny, x1min, x1min + nx * h1, 0.0, ny * h2)
     lat = _Lattice(ny, nx)
     free = _tableaus(grid, s, image=False)
@@ -126,8 +142,7 @@ def _spectra(nx, ny, h1, h2, x1min, s):
         phase = np.exp(-2j * np.pi * ((k1 * (nx - 1)) % lat.px) / lat.px)
         pot, *vel = (lat.hat(t) * phase
                      for t in _tableaus(grid, s, image=True))
-        sp.update(img_pot=pot, img_vel=tuple(vel),
-                  rev=-np.arange(lat.py) % lat.py)
+        sp.update(img_pot=pot, img_vel=tuple(vel))
     return sp
 
 
@@ -137,6 +152,15 @@ def _grid_spectra(grid, s, halfplane_op=None):
     if halfplane_op and grid.x1min < -1e-12 * grid.h1:
         raise DomainError(f"{halfplane_op} needs a grid in {{x1 >= 0}}")
     return _spectra(grid.nx, grid.ny, grid.h1, grid.h2, grid.x1min, s)
+
+
+def _flipped(M):
+    """conj(M[rev]), rev = (-k2) mod py: row 0 stays, rows 1.. reverse.
+    Two slice copies, exact, in one new array."""
+    Mr = np.empty_like(M)
+    np.conjugate(M[0], out=Mr[0])
+    np.conjugate(M[:0:-1], out=Mr[1:])
+    return Mr
 
 
 def potential_free_grid(field: Field2D, s: float) -> np.ndarray:
@@ -158,7 +182,11 @@ def potential_halfplane_grid(field: Field2D, s: float) -> np.ndarray:
     sp = _grid_spectra(g, s, "half-plane potential")
     lat = sp["lattice"]
     M = lat.forward(field.values * g.cell_area)
-    return lat.inverse(sp["pot"] * M - sp["img_pot"] * np.conj(M[sp["rev"]]))
+    # one expression, as numpy evaluates it: above 256 KiB numpy reuses the
+    # temporary _flipped(M) as the product's first operand, and the fused
+    # complex multiply does not commute bitwise, so an explicit in-place
+    # product would move the last bit on some grids and not on others
+    return lat.inverse(sp["pot"] * M - sp["img_pot"] * _flipped(M))
 
 
 def velocity_pair_grid(field: Field2D, s: float):
@@ -169,6 +197,11 @@ def velocity_pair_grid(field: Field2D, s: float):
     sp = _grid_spectra(g, s, "pair velocity")
     lat = sp["lattice"]
     M = lat.forward(field.values * g.cell_area)
-    Mr = np.conj(M[sp["rev"]])
-    return tuple(lat.inverse(sp["vel"][k] * M - sp["img_vel"][k] * Mr)
-                 for k in (0, 1))
+    Mr = _flipped(M)
+    img, spec = np.empty_like(M), np.empty_like(M)
+    out = []
+    for k in (0, 1):
+        np.multiply(sp["img_vel"][k], Mr, out=img)
+        np.multiply(sp["vel"][k], M, out=spec)
+        out.append(lat.inverse(np.subtract(spec, img, out=spec)))
+    return tuple(out)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .errors import (
     BracketError,
@@ -661,6 +660,7 @@ def spectral_gap_estimate(state: Limiting2DState):
     Matrix-free inverse iteration with CG on the normal equations, each
     apply being one FFT potential evaluation.
     """
+    from scipy.ndimage import binary_dilation
     coeff, r_mean = _linearization(state)
     mask = binary_dilation(coeff > 0.0, iterations=_GAP_COLLAR)
     n_cells = int(mask.sum())

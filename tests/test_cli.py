@@ -5,6 +5,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -734,17 +736,32 @@ class TestEvolveCmd:
         assert (out / "trajectory.csv").exists()
         assert not (out / "stability.csv").exists()
 
+    def test_shear_and_dimple_rows_pinned(self, pair_run, tmp_path):
+        # the other two kinds through the CLI.  The rows are pinned to 17
+        # digits (x86-64, numpy 2.4, scipy 1.17), so a change that moves
+        # any bit of the perturbation or the transport fails here.
+        out = tmp_path / "evo_kinds"
+        assert run(["evolve", "--run", pair_run, "--out", out, "--T", "0.01",
+                    "--perturb", "shear:0.05", "--perturb", "dimple:0.03:7",
+                    "--seed", "5"]) == 0
+        assert (out / "stability.csv").read_text().splitlines() == [
+            "kind,amplitude,seed,delta_meas,sup_distance,final_distance",
+            "shear,0.05,5,0.24427038064487416,0.24426194509560173,"
+            "0.22770451565377361",
+            "dimple,0.03,7,0.060863239499316713,0.20055177150442638,"
+            "0.20055177150442638"]
+
     def test_threads_bitwise(self, pair_run, tmp_path, monkeypatch):
         import scipy.fft
         import gsqg.kernels
         workers = set()
-        rfft2 = gsqg.kernels.rfft2
+        forward = gsqg.kernels._Lattice.forward
 
         def spy(*args, **kwargs):
             workers.add(scipy.fft.get_workers())
-            return rfft2(*args, **kwargs)
+            return forward(*args, **kwargs)
 
-        monkeypatch.setattr(gsqg.kernels, "rfft2", spy)
+        monkeypatch.setattr(gsqg.kernels._Lattice, "forward", spy)
         outs = []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
@@ -840,6 +857,34 @@ class TestRunChain:
         assert files[0] == files[1]
 
 
+class TestColdStart:
+    def test_commands_without_a_transform_never_load_scipy(self, tmp_path):
+        # the ring quadrature and the report run no FFT; a fresh interpreter
+        # shows what they import.  Building a lattice is the control.
+        import gsqg
+        script = "\n".join([
+            "import sys",
+            "from gsqg.cli import main",
+            "def scipy_modules():",
+            "    return sum(m.split('.')[0] == 'scipy' for m in sys.modules)",
+            f"out = {str(tmp_path / 'lim')!r}",
+            "assert main(['solve-limiting', '--s', '0.5', '--p', '1.5',",
+            "             '--kappa', '1', '--nr', '64', '--out', out]) == 0",
+            "assert main(['report', '--run', out]) == 0",
+            "print(scipy_modules())",
+            "from gsqg.kernels import _Lattice",
+            "_Lattice(4, 4)",
+            "print(scipy_modules() > 0)"])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gsqg.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
+
+
 class TestManifest:
     @pytest.mark.parametrize("damage", [
         "no-files", "no-config", "files-not-names", "list"])
@@ -872,6 +917,26 @@ class TestManifest:
         assert run([command[0], "--run", bad] + command[1:]) == 1
         assert "manifest.json" in capsys.readouterr().err
         assert sorted(os.listdir(bad)) == before
+
+
+    @pytest.mark.parametrize("timings", [
+        {}, [], {"wall_time_s": []}, {"wall_time_s": {"solve-pair": "1"}}],
+        ids=["empty", "list", "times-list", "time-text"])
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["evolve", "--T", "0.01"], ["rearrange"], ["report"]],
+        ids=["verify", "evolve", "rearrange", "report"])
+    def test_malformed_timings_exits_usage_in_place(
+            self, pair_run, tmp_path, capsys, command, timings):
+        # timings.json is read only by a command that extends its run
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        (bad / "timings.json").write_text(json.dumps(timings))
+        before = {f: (bad / f).read_bytes() for f in os.listdir(bad)}
+        assert run([command[0], "--run", bad] + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "timings.json" in err
+        assert "Traceback" not in err
+        assert {f: (bad / f).read_bytes() for f in os.listdir(bad)} == before
 
 
 class TestWhichPair:
@@ -911,3 +976,16 @@ class TestReportCmd:
         rows = (out / "summary.csv").read_text().splitlines()
         assert f"pair_eps0p2,stop,{rep['stop']}" in rows
         assert f"pair_eps0p2,ascent_residual,{rep['ascent_residual']}" in rows
+
+    @pytest.mark.parametrize("stage", [[1], "text", None])
+    def test_stage_file_not_an_object_exits_usage(self, pair_run, tmp_path,
+                                                  capsys, stage):
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        (bad / "limiting.json").write_text(json.dumps(stage))
+        out = tmp_path / "rep"
+        assert run(["report", "--run", bad, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limiting.json" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -205,6 +205,28 @@ class TestPotentialFree:
         np.testing.assert_array_equal(free, moved)
 
 
+class TestLattice:
+    @pytest.mark.parametrize("ny,nx,lattice", [
+        (64, 64, (128, 128)), (128, 128, (256, 256)),
+        (96, 96, (192, 192)), (33, 48, (66, 96)),
+        (100, 132, (200, 264)), (13, 17, (27, 35))],
+        ids=["pow2", "pow2-256", "3smooth", "3smooth-nonsquare",
+             "nonsquare", "odd"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inverse_is_the_cropped_2d_inverse_bitwise(self, ny, nx,
+                                                        lattice, workers):
+        import scipy.fft
+        from gsqg.kernels import _Lattice
+        lat = _Lattice(ny, nx)
+        assert (lat.py, lat.px) == lattice
+        rng = np.random.default_rng(ny * nx)
+        spec = scipy.fft.rfft2(rng.random(lattice))
+        with scipy.fft.set_workers(workers):
+            ref = scipy.fft.irfft2(spec, s=lattice)[:ny, :nx]
+            out = lat.inverse(spec)
+        np.testing.assert_array_equal(out, ref)
+
+
 class TestPotentialHalfplane:
     def test_wall_exact_zero(self):
         rng = np.random.default_rng(7)
