@@ -3,7 +3,9 @@
 Commands: solve-limiting, solve-pair, verify, evolve, rearrange, report.
 Configuration is a flat key=value text file plus flag overrides (flags win).
 Exit codes: 0 ok, 1 usage/validation, 2 non-convergence, 3 verification
-failure.  Every run directory receives a manifest listing the files written.
+failure; an error's code is its exit_code (gsqg.errors), 1 for any other
+ValueError or OSError.  Every run directory receives a manifest listing the
+files written.
 """
 
 import argparse
@@ -16,7 +18,6 @@ import time
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_NOCONV = 2
 EXIT_VERIFY = 3
 
 _CONFIG_KEYS = {
@@ -285,7 +286,7 @@ def cmd_solve_pair(cfg, run):
         except ConstraintActiveError as exc:
             sys.stderr.write(f"eps={problem.eps}: {exc}\n")
             run.write_json(f"pair_eps{tag}.json", exc.solution.report())
-            status = EXIT_NOCONV
+            status = exc.exit_code
             continue
         run.stage(f"pair_eps{tag}", sol.report())
         run.write_field(f"omega_eps{tag}.field", sol.omega)
@@ -528,17 +529,13 @@ def main(argv=None):
     if threads > 1:
         import scipy.fft  # after the variables above, which numpy reads once
         workers = scipy.fft.set_workers(threads)
-    from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
-                         GsqgError)
+    from .errors import GsqgError
     try:
         with workers:
             status = command(cfg, run)
     except (ValueError, FileNotFoundError, GsqgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, (BracketError, ConvergenceError,
-                            DomainTooSmallError)):
-            return EXIT_NOCONV
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
     run.finish()
     return status
 

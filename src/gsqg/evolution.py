@@ -298,15 +298,15 @@ def _recenter(field: Field2D):
 
 
 def evolve(xi0: Field2D, s: float, config: EvolutionConfig,
-           reference: Field2D = None, speed_hint=0.0) -> TrajectoryReport:
+           reference: Field2D, speed_hint=0.0) -> TrajectoryReport:
     """Time loop under the kernel of order s: velocity from the current
-    field, one advection step, diagnostics on schedule.  reference defaults
-    to the initial data; the orbital-distance shift search tracks the
+    field, one advection step, diagnostics on schedule.  The orbital
+    distance is taken to reference; its shift search tracks the
     accumulated x2 drift."""
     if np.any(xi0.values < 0):
         raise DomainError("evolution expects a nonnegative half-plane scalar")
     field = xi0.copy()
-    ref = (reference if reference is not None else xi0).copy()
+    ref = reference.copy()
     rep = TrajectoryReport()
     h = min(field.grid.h1, field.grid.h2)
 
@@ -432,7 +432,7 @@ def perturb(field: Field2D, kind, amplitude, rng) -> Field2D:
 
 
 def stability_experiment(omega: Field2D, s: float, perturbations,
-                         config: EvolutionConfig, speed_hint=0.0, seed=0):
+                         config: EvolutionConfig, speed_hint, seed):
     """Evolve each perturbed initial state and tabulate the measured initial
     distance against the sup of the orbital distance along the trajectory.
 

@@ -34,6 +34,13 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("grid needs nx, ny >= 2")
+        # a non-finite extent makes its span non-finite too
+        spans = (self.x1max - self.x1min, self.x2max - self.x2min)
+        if not all(math.isfinite(d) for d in spans):
+            raise ParameterError(
+                "grid extents and their spans must be finite, got x1 in "
+                f"[{self.x1min}, {self.x1max}], x2 in [{self.x2min}, "
+                f"{self.x2max}]")
         if not (self.x1max > self.x1min and self.x2max > self.x2min):
             raise ParameterError("grid extents must be ordered")
 
@@ -129,10 +136,6 @@ class RadialField:
     def radii(self):
         return (np.arange(self.nr) + 0.5) * self.dr
 
-    def annulus_measures(self):
-        """Area of each annulus: annulus_areas(nr, dr)."""
-        return annulus_areas(self.nr, self.dr)
-
 
 # ---------------------------------------------------------------------------
 # integrals and norms
@@ -174,22 +177,19 @@ def lp_norm(f: Field2D, p) -> float:
 # rearrangement machinery
 
 
-def _center_out_order(n):
-    """Column indices ordered center first, then alternating outward."""
-    mid = (n - 1) / 2.0
-    return sorted(range(n), key=lambda j: (abs(j - mid), j))
-
-
 def steiner_symmetrize_x2(f: Field2D) -> Field2D:
     """Columnwise symmetric-decreasing rearrangement about the grid midline.
 
     Each column keeps its multiset of cell values; the largest value goes to
     the central cell and successive values alternate outward.  Idempotent and
-    exactly mass/norm preserving (pure sorting).
+    exactly mass/norm preserving (pure sorting).  The cells in order of
+    distance from the midline, ties by index, take the values in
+    descending order.
     """
     if np.any(f.values < 0):
         raise DomainError("Steiner symmetrization needs a nonnegative field")
-    order = np.array(_center_out_order(f.grid.ny))
+    ny = f.grid.ny
+    order = np.argsort(np.abs(np.arange(ny) - (ny - 1) / 2), kind="stable")
     out = np.empty_like(f.values)
     srt = np.sort(f.values, axis=0)[::-1, :]  # descending per column
     out[order, :] = srt
@@ -256,24 +256,6 @@ def weak_closure_membership(candidate: Field2D, reference: Field2D):
         reports.append(LevelReport(float(a), ec, er,
                                    ec <= er + _CLOSURE_TOL * scale))
     return reports
-
-
-def reflect_oddify(f: Field2D) -> Field2D:
-    """Extend a right-half-plane field to the full plane, odd in x1."""
-    g = f.grid
-    if g.x1min < -_ALIGN_TOL * g.h1:
-        raise DomainError("field must be supported in {x1 >= 0}")
-    k = g.x1min / g.h1
-    if abs(k - round(k)) > _ALIGN_TOL:
-        raise DomainError("x1min must sit on the cell lattice for reflection")
-    k = int(round(k))
-    nxf = 2 * (k + g.nx)
-    vals = np.zeros((g.ny, nxf))
-    half = nxf // 2
-    vals[:, half + k:half + k + g.nx] = f.values
-    vals[:, half - k - g.nx:half - k] = -f.values[:, ::-1]
-    grid = Grid2D(nxf, g.ny, -g.x1max, g.x1max, g.x2min, g.x2max)
-    return Field2D(grid, vals, nonneg=False)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +379,10 @@ def read_field(path) -> Field2D:
     if len(toks) != 6:
         raise FieldFormatError("grid line needs 6 tokens", line=2)
     try:
-        nx, ny = int(toks[0]), int(toks[1])
-        ext = [float(t) for t in toks[2:]]
+        grid = Grid2D(int(toks[0]), int(toks[1]), *map(float, toks[2:]))
     except ValueError as exc:
-        raise FieldFormatError(f"bad grid token: {exc}", line=2) from exc
-    grid = Grid2D(nx, ny, *ext)
+        raise FieldFormatError(f"bad grid line: {exc}", line=2) from exc
+    nx, ny = grid.nx, grid.ny
     # the data rows are counted before the grid's array is allocated, so a
     # grid line naming more cells than the file holds fails here
     rows = lines[2:2 + ny]

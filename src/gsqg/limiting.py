@@ -50,7 +50,7 @@ def _gauss_legendre(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def ring_potential_matrix(r_targets, r_nodes, dr, s, n_angles=128):
+def ring_potential_matrix(r_targets, r_nodes, dr, s, n_angles):
     """M[i, j] = kernel integral over annulus j (unit density) at radius
     r_targets[i] from the origin.
 
@@ -203,12 +203,6 @@ _RESIDUAL_FLOOR = 1e-12
 _DAMPING = 0.5  # first and largest step of the damped fixed point
 
 
-def stop_floor(tol):
-    """The residual at or below which a mixed constrained_ascent stops at
-    once: the roundoff floor, or tol when that is smaller."""
-    return min(tol, _RESIDUAL_FLOOR)
-
-
 def monitored_step(trial_at, evaluate, energy, theta):
     """One energy-monitored damped ascent step.
 
@@ -237,20 +231,23 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     projection onto admissible iterates (none by default).
     Iteration it takes g = f - x and the residual mass(|g|) / kappa.
 
-    With anderson=False the solve stops at the first residual <= tol and
-    otherwise takes the damped step project(x + theta g) through
-    monitored_step.  With anderson=True a depth-4 Anderson candidate is
-    tried first and kept when its energy does not fall by more than 1e-6
-    relative; the damped step is the fallback and clears the history.
+    With anderson=False the solve stops at the first residual <= tol
+    ("tol") and otherwise takes the damped step project(x + theta g)
+    through monitored_step.  With anderson=True a depth-4 Anderson
+    candidate is tried first and kept when its energy does not fall by more
+    than 1e-6 relative; the damped step is the fallback and clears the
+    history.
     Mixing is for slow modes the damped map relaxes hopelessly slowly, like
     the pair's blob position, whose force is itself part of the residual;
     so the mixed solve does not stop at the first residual <= tol but at the
-    first residual <= stop_floor(tol), the roundoff floor of the map.  A
-    mixed solve that plateaus above the floor stops once the residual is
-    <= tol and has not improved 0.7x for 30 iterations.
+    first residual at or below the roundoff floor of the map, or tol when
+    that is smaller ("floor").  A mixed solve that plateaus above the floor
+    stops once the residual is <= tol and has not improved 0.7x for 30
+    iterations ("plateau").
 
     Eight rejected damped steps in a row, or max_iter iterations, raise
-    ConvergenceError.  Returns (x, psi, mu, energy, residual, iterations).
+    ConvergenceError.  Returns (x, psi, mu, energy, residual, iterations,
+    stop), stop naming the rule that ended the solve.
     """
     if project is None:
         def project(v):
@@ -259,7 +256,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
     theta = _DAMPING
     residual = best = math.inf
     since_best = bad_streak = 0
-    floor = stop_floor(tol)
+    floor = min(tol, _RESIDUAL_FLOOR)
     dX, dG = [], []
     x_prev = g_prev = None
     for it in range(1, max_iter + 1):
@@ -268,6 +265,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
         residual = mass(np.abs(g)) / kappa
         if not anderson:
             if residual <= tol:
+                stop = "tol"
                 break
         else:
             if residual < 0.7 * best:
@@ -275,6 +273,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
             else:
                 since_best += 1
             if residual <= floor or (residual <= tol and since_best >= 30):
+                stop = "floor" if residual <= floor else "plateau"
                 break
             if x_prev is not None:
                 dX.append((x - x_prev).ravel())
@@ -310,7 +309,7 @@ def constrained_ascent(x, evaluate, target, mass, *, kappa, tol, max_iter,
             f"{name}: no convergence in {max_iter} iterations "
             f"(residual {residual:.3g})", residual=residual,
             iterations=max_iter)
-    return x, psi, mu, energy, residual, it
+    return x, psi, mu, energy, residual, it, stop
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +396,8 @@ def check_controls(tol, max_iter):
                              f"tol={tol}, max_iter={max_iter}")
 
 
-def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
-                   n_angles=64, tol=1e-6, max_iter=2000):
+def solve_limiting(s, p, kappa=1.0, nr=256, L=None, n_angles=64, tol=1e-6,
+                   max_iter=2000):
     """Damped fixed-point solve of the limiting maximization problem.
 
     Returns a LimitingSolution whose Euler-Lagrange residual
@@ -413,22 +412,20 @@ def solve_limiting(s, p, kappa=1.0, nr=256, rmax=None, L=None,
     warnings = []
     if p <= 1.0:
         warnings.append("p <= 1: maximizer computed with no uniqueness guarantee")
-    return _solve_sized(profile, kappa, nr, rmax, n_angles, tol, max_iter,
-                        warnings)
+    return _solve_sized(profile, kappa, nr, n_angles, tol, max_iter, warnings)
 
 
-def _solve_sized(profile, kappa, nr, rmax, n_angles, tol, max_iter,
-                 warnings):
+def _solve_sized(profile, kappa, nr, n_angles, tol, max_iter, warnings):
     """Solve on [0, rmax], doubling rmax once when the support touches
-    0.9 rmax.  With rmax None a cheap coarse pass sizes the domain first:
-    the patch estimate can be off by an order of magnitude when the ground
-    state is concentrated.  The coarse pass returns only a whole-cell
-    support radius, so it runs on the rescaled unit-spacing matrix that
-    _initial_patch also uses; the certified pass builds its own, since the
-    rescaled one moves E0 and mu0 at roundoff.  A ground state whose
-    radius holding 99% of kappa spans fewer than nr/16 cells is recorded
-    as an under-resolved warning: the support radius alone passes a state
-    collapsed into one cell over a faint tail."""
+    0.9 rmax.  A cheap coarse pass sizes the domain first (rmax is 4 times
+    its support radius): the patch estimate can be off by an order of
+    magnitude when the ground state is concentrated.  The coarse pass
+    returns only a whole-cell support radius, so it runs on the rescaled
+    unit-spacing matrix that _initial_patch also uses; the certified pass
+    builds its own, since the rescaled one moves E0 and mu0 at roundoff.
+    A ground state whose radius holding 99% of kappa spans fewer than nr/16
+    cells is recorded as an under-resolved warning: the support radius
+    alone passes a state collapsed into one cell over a faint tail."""
     r_patch, support_est, _ = _initial_patch(profile, kappa)
 
     def solve(nr, rmax, n_angles, tol, warnings, sizing=False):
@@ -446,11 +443,10 @@ def _solve_sized(profile, kappa, nr, rmax, n_angles, tol, max_iter,
             f"support radius {sol.support_radius:.3g} still touches "
             f"rmax={rmax:.3g} after doubling")
 
-    if rmax is None:
-        rmax = 4.0 * solve(min(96, nr), 8.0 * support_est, 64, 1e-4,
-                           [], sizing=True).support_radius
+    rmax = 4.0 * solve(min(96, nr), 8.0 * support_est, 64, 1e-4, [],
+                       sizing=True).support_radius
     sol = solve(nr, rmax, n_angles, tol, warnings)
-    held = np.cumsum(sol.omega0.values * sol.omega0.annulus_measures())
+    held = np.cumsum(sol.omega0.values * annulus_areas(nr, sol.omega0.dr))
     cells = int(np.searchsorted(held, 0.99 * held[-1])) + 1
     if cells < nr / 16:
         warnings.append(
@@ -482,7 +478,7 @@ def _solve_limiting_on(profile, kappa, nr, rmax, n_angles, tol, max_iter,
         psi_x = M @ x
         return _radial_energy(x, psi_x, meas, profile)[0], psi_x
 
-    omega, psi, mu, _, residual, it = constrained_ascent(
+    omega, psi, mu, _, residual, it, _ = constrained_ascent(
         omega, evaluate,
         lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
         lambda v: float(np.sum(meas * v)),
@@ -537,6 +533,8 @@ def _multiplier_residuals(sol: LimitingSolution) -> dict:
 # 2D export and the linearized operator
 
 _BOX_FACTOR = 1.45  # half-width of the 2D box in limiting support radii
+_POLISH_ITERS = 200  # iteration budget of the 2D polish
+_POLISH_TOL = 1e-8   # fixed-point residual at which the polish stops
 
 
 @dataclass
@@ -562,12 +560,11 @@ def radial_to_field(radial: RadialField, grid: Grid2D,
     return Field2D(grid, vals, nonneg=True)
 
 
-def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
-                polish_tol=1e-8) -> Limiting2DState:
+def to_state_2d(sol: LimitingSolution, n) -> Limiting2DState:
     """Resample the radial ground state onto an n x n grid and polish it with
     the same monitored fixed point so the 2D discrete EL equation holds.
-    Raises ConvergenceError when polish_iters iterations do not reach
-    polish_tol."""
+    Raises ConvergenceError when _POLISH_ITERS iterations do not reach
+    _POLISH_TOL."""
     w = _BOX_FACTOR * sol.support_radius
     grid = Grid2D(n, n, -w, w, -w, w)
     f = radial_to_field(sol.omega0, grid)
@@ -585,7 +582,7 @@ def to_state_2d(sol: LimitingSolution, n, polish_iters=200,
         vals, evaluate,
         lambda psi, mu: solve_multiplier(psi, meas, profile, kappa, mu0=mu),
         lambda v: float(np.sum(v) * a), kappa=kappa,
-        tol=polish_tol, max_iter=polish_iters, anderson=False, mu=sol.mu0,
+        tol=_POLISH_TOL, max_iter=_POLISH_ITERS, anderson=False, mu=sol.mu0,
         name="2D polish")
     return Limiting2DState(field=Field2D(grid, vals, nonneg=True), psi=psi,
                            mu=mu, E0=e0, profile=profile, kappa=kappa)
@@ -620,7 +617,7 @@ def linearized_apply(phi: Field2D, state: Limiting2DState,
     return Field2D(phi.grid, out)
 
 
-def translational_mode(state: Limiting2DState, axis=2) -> Field2D:
+def translational_mode(state: Limiting2DState, axis) -> Field2D:
     """Centered-difference derivative of the ground state (a discrete element
     of the linearized operator's kernel direction)."""
     v = state.field.values

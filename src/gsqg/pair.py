@@ -32,7 +32,6 @@ from .fields import (
     mass,
     orbital_distance,
     rearrangement_equimeasurable,
-    reflect_oddify,
     shift_x2,
     steiner_symmetrize_x2,
 )
@@ -47,7 +46,6 @@ from .limiting import (
     constrained_ascent,
     radial_to_field,
     solve_multiplier,
-    stop_floor,
 )
 from .profiles import PowerProfile, check_positive, compute_struct_constants
 
@@ -56,6 +54,8 @@ class ConstraintActiveError(GsqgError, RuntimeError):
     """Support touched the constraint ball: eps too large for the regime.
 
     Carries the diagnosed solution in .solution for honest reporting."""
+
+    exit_code = 2
 
     def __init__(self, message, solution):
         super().__init__(message)
@@ -274,7 +274,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
                                      mu0=mu)
         return mu, steiner_symmetrize_x2(Field2D(grid, f_new, True)).values
 
-    vals, *_, residual, it = constrained_ascent(
+    vals, *_, residual, it, stop = constrained_ascent(
         vals, evaluate, target, lambda v: float(np.sum(v)) * a,
         kappa=problem.kappa, tol=tol, max_iter=max_iter, anderson=True,
         project=_project, name="pair solve")
@@ -284,7 +284,7 @@ def solve_pair(problem: PairProblem, limiting: LimitingSolution, n=192,
     sol = rebuild_solution(
         problem, steiner_symmetrize_x2(Field2D(grid, vals, nonneg=True)))
     sol.iterations = it
-    sol.stop = "floor" if residual <= stop_floor(tol) else "plateau"
+    sol.stop = stop
     sol.ascent_residual = residual
     sol.warnings = warnings
     if sol.constraint_active and not allow_active:
@@ -495,7 +495,7 @@ def weak_form_residual(sol: PairSolution, battery=None) -> dict:
 
 def desingularization_check(solutions) -> dict:
     """Rescaled support geometry across eps: for each solution report
-    sup_{spt} |eps*x - (d0, 0)|, its ratio to eps, and the one-sided mass."""
+    sup_{spt} |eps*x - (d0, 0)|, its ratio to eps, and the mass."""
     rows = []
     for sol in solutions:
         pb = sol.problem
@@ -509,7 +509,6 @@ def desingularization_check(solutions) -> dict:
             "sup_dist": sup_dist,
             "sup_dist_over_eps": sup_dist / pb.eps,
             "mass_right": mass(sol.omega),
-            "odd_mass": mass(reflect_oddify(sol.omega)),
         })
     return {"per_eps": rows}
 
@@ -529,22 +528,22 @@ def rearrangement_energy(field: Field2D, problem: PairProblem, psi) -> float:
 
 
 def maximize_over_rearrangement_class(reference: Field2D, problem: PairProblem,
-                                      start: Field2D = None, max_iter=500):
-    """Ascent over rearrangements of `reference`: each step assigns the
-    reference's sorted values to the cells sorted by the current transported
-    stream function psi = G+ zeta - speed*x1 (descending, ties by cell
-    index).  The linear part cannot decrease, so the energy trace is
-    non-decreasing; stalls return the best iterate with a flag."""
+                                      start: Field2D, max_iter=500):
+    """Ascent over rearrangements of `reference` from `start`, one of them:
+    each step assigns the reference's sorted values to the cells sorted by
+    the current transported stream function psi = G+ zeta - speed*x1
+    (descending, ties by cell index).  The linear part cannot decrease, so
+    the energy trace is non-decreasing; stalls return the best iterate with
+    a flag."""
     if np.any(reference.values < 0):
         raise DomainError("rearrangement ascent needs a nonnegative reference")
     s = problem.profile.s
     g = reference.grid
     x1row = g.x1_centers()
     ref_sorted = np.sort(reference.values, axis=None)[::-1]
-    zeta = (reference if start is None else start).copy()
-    if start is not None and (start.grid != g or not
-                              rearrangement_equimeasurable(reference, start)):
+    if start.grid != g or not rearrangement_equimeasurable(reference, start):
         raise DomainError("start must be a rearrangement of the reference")
+    zeta = start.copy()
     # one potential per step: an accepted iterate's energy and its next
     # step share it
     psi = potential_halfplane_grid(zeta, s)

@@ -9,14 +9,16 @@ live here, beside the tests that compare against them:
 * `gap_dense`, the dense assembly of the projected linearized operator, the
   oracle of `limiting.spectral_gap_estimate`;
 * the profile maps f, f^{-1} and J' of a `PowerProfile`;
-* the mass and the monotonicity of a `RadialField`.
+* the mass and the monotonicity of a `RadialField`;
+* `reflect_oddify`, the odd extension of a half-plane field to the full
+  plane, the oracle of `pair.weak_form_residual`'s folded sum.
 """
 
 import numpy as np
 from scipy.ndimage import binary_dilation
 
 from gsqg.errors import DomainError
-from gsqg.fields import Field2D, RadialField
+from gsqg.fields import _ALIGN_TOL, Field2D, Grid2D, RadialField, annulus_areas
 from gsqg.kernels import riesz_constant, singular_cell_weight
 from gsqg.limiting import (
     _GAP_COLLAR,
@@ -138,10 +140,32 @@ def Jprime(profile: PowerProfile, t):
 
 
 def radial_mass(radial: RadialField) -> float:
-    return float(np.sum(radial.values * radial.annulus_measures()))
+    return float(np.sum(radial.values * annulus_areas(radial.nr, radial.dr)))
 
 
 def is_nonincreasing(radial: RadialField, slack=1e-10):
     dv = np.diff(radial.values)
     top = float(radial.values.max(initial=0.0))
     return bool(np.all(dv <= slack * max(1.0, top)))
+
+
+# ---------------------------------------------------------------------------
+# odd extension
+
+
+def reflect_oddify(f: Field2D) -> Field2D:
+    """Extend a right-half-plane field to the full plane, odd in x1."""
+    g = f.grid
+    if g.x1min < -_ALIGN_TOL * g.h1:
+        raise DomainError("field must be supported in {x1 >= 0}")
+    k = g.x1min / g.h1
+    if abs(k - round(k)) > _ALIGN_TOL:
+        raise DomainError("x1min must sit on the cell lattice for reflection")
+    k = int(round(k))
+    nxf = 2 * (k + g.nx)
+    vals = np.zeros((g.ny, nxf))
+    half = nxf // 2
+    vals[:, half + k:half + k + g.nx] = f.values
+    vals[:, half - k - g.nx:half - k] = -f.values[:, ::-1]
+    grid = Grid2D(nxf, g.ny, -g.x1max, g.x1max, g.x2min, g.x2max)
+    return Field2D(grid, vals, nonneg=False)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsqg.errors
 from gsqg.cli import _COMMAND_KEYS, _CONFIG_KEYS, _FLAG_OPTS, _PAIR_KEYS, main
 from gsqg.fields import read_field
+from gsqg.pair import ConstraintActiveError
 
 from conftest import REGIME_L
 
@@ -25,6 +27,16 @@ PAIR = LIMITING + ["--W", 1, "--L", REGIME_L, "--n", 32]
 
 def run(args):
     return main([str(a) for a in args])
+
+
+# every error type of the package, the errors README gives exit 2, and the
+# arguments past the message that a type's constructor needs
+_ERRORS = [obj for obj in vars(gsqg.errors).values()
+           if isinstance(obj, type) and issubclass(obj, gsqg.errors.GsqgError)
+           ] + [ConstraintActiveError]
+_NONCONVERGED = {"BracketError", "ConvergenceError", "DomainTooSmallError",
+                 "ConstraintActiveError"}
+_ERROR_ARGS = {"FieldFormatError": (2,), "ConstraintActiveError": (None,)}
 
 
 @pytest.fixture(scope="module")
@@ -312,19 +324,21 @@ class TestUsage:
         assert code == 1
         assert "unknown config key 'interp'" in capsys.readouterr().err
 
-    def test_bracket_error_exits_nonconverged(self, tmp_path, monkeypatch,
-                                              capsys):
+    @pytest.mark.parametrize("error", _ERRORS, ids=lambda e: e.__name__)
+    def test_error_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        # README's exit codes: 2 for a solve that did not converge, 1 for
+        # every other error of the package
         import gsqg.limiting
-        from gsqg.errors import BracketError
 
         def fail(*args, **kwargs):
-            raise BracketError("multiplier bracket exhausted")
+            raise error(f"{error.__name__} raised",
+                        *_ERROR_ARGS.get(error.__name__, ()))
 
         monkeypatch.setattr(gsqg.limiting, "solve_limiting", fail)
         code = run(["solve-limiting", "--s", 0.5, "--p", 1.5, "--kappa", 1,
                     "--out", tmp_path / "o"])
-        assert code == 2
-        assert "bracket" in capsys.readouterr().err
+        assert code == (2 if error.__name__ in _NONCONVERGED else 1)
+        assert capsys.readouterr().err == f"error: {error.__name__} raised\n"
         # the run directory appears at the first write, and there is none
         assert not (tmp_path / "o").exists()
 
@@ -609,6 +623,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "row 0" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command",
+                             [["verify"], ["evolve", "--T", "0.001"]],
+                             ids=["verify", "evolve"])
+    @pytest.mark.parametrize("extent", ["inf", "-inf"])
+    def test_field_grid_with_non_finite_extent_exits_usage(
+            self, pair_run, tmp_path, capsys, command, extent):
+        # a non-finite x1max is a format error of the field's grid line,
+        # reported before any solve or step
+        bad = tmp_path / "bad"
+        shutil.copytree(pair_run, bad)
+        path = bad / "omega_eps0p2.field"
+        lines = path.read_text().split("\n")
+        grid = lines[1].split()
+        grid[3] = extent
+        lines[1] = " ".join(grid)
+        path.write_text("\n".join(lines))
+        out = tmp_path / "o"
+        assert run([command[0], "--run", bad, "--out", out]
+                   + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 
 

@@ -365,17 +365,17 @@ class TestEvolve:
         u1, u2 = velocity_pair_grid(f, S)
         dt_cfl = 0.4 * f.grid.h1 / float(np.max(np.hypot(u1, u2)))
         dt = 2 ** _MAX_DT_HALVINGS * dt_cfl
-        rep = evolve(f, S, EvolutionConfig(T=dt, dt=dt))
+        rep = evolve(f, S, EvolutionConfig(T=dt, dt=dt), reference=f)
         assert rep.steps == 2 ** _MAX_DT_HALVINGS
         assert sum("dt halved" in m for m in rep.flags) == _MAX_DT_HALVINGS
         with pytest.raises(ConvergenceError):
-            evolve(f, S, EvolutionConfig(T=4 * dt, dt=4 * dt))
+            evolve(f, S, EvolutionConfig(T=4 * dt, dt=4 * dt), reference=f)
 
     def test_negative_input_rejected(self):
         g = Grid2D(8, 8, 0.0, 1.0, -0.5, 0.5)
         f = Field2D(g, -np.ones((8, 8)))
         with pytest.raises(DomainError):
-            evolve(f, S, EvolutionConfig(T=0.1))
+            evolve(f, S, EvolutionConfig(T=0.1), reference=f)
 
     def test_steady_pair_stays_put_short_horizon(self, pair_regime):
         # the converged traveling profile under its own dynamics: over a

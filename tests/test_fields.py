@@ -15,6 +15,7 @@ from gsqg.fields import (
     Field2D,
     Grid2D,
     RadialField,
+    annulus_areas,
     center_of_mass,
     default_levels,
     embed,
@@ -25,7 +26,6 @@ from gsqg.fields import (
     orbital_distance,
     read_field,
     rearrangement_equimeasurable,
-    reflect_oddify,
     shift_x2,
     steiner_symmetrize_x2,
     union_grid,
@@ -33,6 +33,8 @@ from gsqg.fields import (
     write_field,
 )
 from gsqg.evolution import _recenter
+
+from oracles import reflect_oddify
 
 
 def rand_field(rng, nx=12, ny=10, nonneg=True, x1min=0.0):
@@ -49,6 +51,19 @@ class TestGridField:
             Grid2D(1, 4, 0, 1, 0, 1)
         with pytest.raises(ParameterError):
             Grid2D(4, 4, 1, 0, 0, 1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("k", range(4))
+    def test_extents_finite(self, k, value):
+        ext = [0.0, 1.0, 0.0, 1.0]
+        ext[k] = value
+        with pytest.raises(ParameterError, match="finite"):
+            Grid2D(4, 4, *ext)
+
+    def test_extent_span_finite(self):
+        # finite extents whose difference overflows give an infinite cell
+        with pytest.raises(ParameterError, match="finite"):
+            Grid2D(4, 4, -1e308, 1e308, 0.0, 1.0)
 
     def test_field_shape_check(self):
         g = Grid2D(4, 3, 0, 1, 0, 1)
@@ -69,8 +84,8 @@ class TestGridField:
 
     def test_radial_measures_sum_to_disk(self):
         r = RadialField(64, 2.0, np.ones(64))
-        assert r.annulus_measures().sum() == pytest.approx(math.pi * 4.0,
-                                                           rel=1e-12)
+        assert annulus_areas(r.nr, r.dr).sum() == pytest.approx(
+            math.pi * 4.0, rel=1e-12)
 
 
 class TestIntegrals:
@@ -396,6 +411,15 @@ class TestFieldFile:
         with pytest.raises(FieldFormatError) as exc:
             read_field(path)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("extent", ["inf", "-inf"])
+    def test_non_finite_extent(self, tmp_path, extent):
+        # a grid Grid2D rejects is a format error of the grid line
+        path = tmp_path / "inf.txt"
+        path.write_text(f"gsqg-field 1\n2 2 0 {extent} 0 1\n1 2\n3 4\n")
+        with pytest.raises(FieldFormatError, match="finite") as exc:
+            read_field(path)
+        assert exc.value.line == 2
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.txt"

@@ -57,7 +57,7 @@ class TestRieszConstant:
         lambda f, s: singular_cell_weight(f.grid.h1, s),
         lambda f, s: direct_sum(f, [[0.5, 0.0]], s),
         potential_free_grid,
-        lambda f, s: ring_potential_matrix([0.5], [0.5], 1.0, s),
+        lambda f, s: ring_potential_matrix([0.5], [0.5], 1.0, s, 64),
     ], ids=["singular_cell_weight", "direct_sum", "potential_free_grid",
             "ring_potential_matrix"])
     def test_kernels_take_s_in_open_interval(self, op, s):

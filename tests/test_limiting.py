@@ -12,7 +12,8 @@ from gsqg.errors import (
     ParameterError,
     RegimeError,
 )
-from gsqg.fields import Field2D, Grid2D, RadialField, lp_norm
+from gsqg.fields import (Field2D, Grid2D, RadialField, annulus_areas,
+                         lp_norm)
 from gsqg.kernels import potential_free_grid, riesz_constant
 from gsqg.limiting import (
     _DAMPING,
@@ -391,7 +392,9 @@ class TestConstrainedAscent:
     def test_plain_run_stops_at_first_residual_below_tol(self):
         run, residuals = self._radial()
         tol = 1e-6
-        x, psi, mu, energy, residual, iters = run(tol=tol, max_iter=2000)
+        x, psi, mu, energy, residual, iters, stop = run(tol=tol,
+                                                        max_iter=2000)
+        assert stop == "tol"
         # one residual per iteration; the last is the first <= tol
         assert len(residuals) == iters
         assert residual == residuals[-1] <= tol
@@ -427,16 +430,18 @@ class TestConstrainedAscent:
             kappa=1.0, tol=1e-6, max_iter=100, anderson=True)
         np.testing.assert_array_equal(out[0], x0)
         assert out[4] == 0.0 and out[5] == 1 and calls == [None]
+        assert out[6] == "floor"
         # residuals <= tol but above the floor do not stop the run
         out = self._scripted([1e-3, 1e-7, 1e-10, 1e-12, 0.0], tol=1e-6,
                              max_iter=100)
         assert out[4] == _RESIDUAL_FLOOR == 1e-12 and out[5] == 4
+        assert out[6] == "floor"
 
     def test_mixed_run_falls_back_on_a_plateau(self):
         # a residual stuck at 1e-8, above the floor and below tol, never
         # improves 0.7x again: the run stops 30 iterations after the first
         out = self._scripted(itertools.repeat(1e-8), tol=1e-6, max_iter=100)
-        assert out[4] == 1e-8 and out[5] == 31
+        assert out[4] == 1e-8 and out[5] == 31 and out[6] == "plateau"
         with pytest.raises(ConvergenceError) as exc:
             self._scripted(itertools.repeat(1e-8), tol=1e-6, max_iter=30)
         assert exc.value.iterations == 30 and exc.value.residual == 1e-8
@@ -445,16 +450,19 @@ class TestConstrainedAscent:
         # tol under the floor: the first residual <= tol stops the run
         out = self._scripted([1e-3, 1e-12, 1e-13, 1e-14, 0.0], tol=1e-14,
                              max_iter=100)
-        assert out[4] == 1e-14 and out[5] == 4
+        assert out[4] == 1e-14 and out[5] == 4 and out[6] == "floor"
         with pytest.raises(ConvergenceError) as exc:
             self._scripted(itertools.repeat(1e-13), tol=1e-14, max_iter=50)
         assert exc.value.iterations == 50 and exc.value.residual == 1e-13
 
-    def test_polish_budget_raises_named_error(self):
+    def test_polish_budget_raises_named_error(self, monkeypatch):
+        import gsqg.limiting
+
         sol = solve_limiting(0.5, 1.5, kappa=1.0, L=0.1, nr=48, n_angles=48,
                              tol=1e-5)
+        monkeypatch.setattr(gsqg.limiting, "_POLISH_ITERS", 5)
         with pytest.raises(ConvergenceError) as exc:
-            to_state_2d(sol, 32, polish_iters=5)
+            to_state_2d(sol, 32)
         assert exc.value.iterations == 5
         assert exc.value.residual > 1e-8
 
@@ -491,8 +499,7 @@ class TestSolveLimiting:
         squeezed = np.interp(squeeze * r, r, sol.omega0.values, right=0.0)
         M = ring_potential_matrix(r, r, sol.omega0.dr, sol.profile.s,
                                   n_angles=64)
-        meas = RadialField(sol.omega0.nr, sol.omega0.rmax,
-                           squeezed).annulus_measures()
+        meas = annulus_areas(sol.omega0.nr, sol.omega0.dr)
         psi = M @ squeezed
         kin = float(np.sum(meas * squeezed * psi))
         jint = float(np.sum(meas * sol.profile.J(squeezed)))
@@ -523,7 +530,7 @@ class TestSolveLimiting:
         built = []
         ring = gsqg.limiting.ring_potential_matrix
 
-        def counting(r_targets, r_nodes, dr, s, n_angles=128):
+        def counting(r_targets, r_nodes, dr, s, n_angles):
             built.append((len(r_nodes), dr))
             return ring(r_targets, r_nodes, dr, s, n_angles)
 
@@ -557,8 +564,9 @@ class TestSolveLimiting:
             solve_limiting(0.5, 1.5, L=0.1, **{key: value})
 
     def test_domain_too_small(self):
+        # at p = 1.9 the support still touches 0.9 rmax after the doubling
         with pytest.raises(DomainTooSmallError):
-            solve_limiting(0.5, 1.5, nr=48, rmax=2.0, n_angles=48)
+            solve_limiting(0.5, 1.9, nr=48, n_angles=48)
 
     def test_small_p_accepted_with_warning(self):
         sol = solve_limiting(0.5, 0.8, kappa=1.0, nr=64, n_angles=48,
@@ -608,10 +616,14 @@ class TestLinearized:
         out = linearized_apply(mode, st, include_mean_term=False)
         assert lp_norm(out, 2) / lp_norm(mode, 2) <= 0.05
 
-    def test_regime_gate_needs_p_above_one(self):
+    def test_regime_gate_needs_p_above_one(self, monkeypatch):
+        import gsqg.limiting
+
         sol = solve_limiting(0.5, 0.9, kappa=1.0, nr=48, n_angles=48,
                              tol=1e-4)
-        st = to_state_2d(sol, 32, polish_iters=40, polish_tol=1e-4)
+        monkeypatch.setattr(gsqg.limiting, "_POLISH_ITERS", 40)
+        monkeypatch.setattr(gsqg.limiting, "_POLISH_TOL", 1e-4)
+        st = to_state_2d(sol, 32)
         phi = Field2D(st.field.grid, np.zeros_like(st.field.values))
         with pytest.raises(RegimeError):
             linearized_apply(phi, st)

